@@ -8,6 +8,12 @@ object) triple is viewed as an NFA whose states are graph nodes, without
 materializing anything. Deciding whether a condition is matched between two
 nodes is then a breadth-first search over reachable product states: the
 condition holds iff the two automata accept a common word.
+
+A condition state with no outgoing arcs is dead: no product state through
+it can lead anywhere. The search never enqueues one. A step into a dead
+accepting state is only an acceptance test on the step's targets, so the
+last step of a condition costs one membership test, not a walk over every
+node it reaches.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptyPathConditionError, NotSimpleError, UnknownNodeError
 from .graph import SystemGraph
@@ -64,10 +70,13 @@ class Nfa:
         return frozenset(label for _, _, label in self.transitions)
 
     @cached_property
-    def _out(self) -> dict[int, tuple[tuple[str, int], ...]]:
-        table: dict[int, list[tuple[str, int]]] = {q: [] for q in self.states}
+    def arcs(self) -> dict[int, tuple[tuple[str, int, bool, bool], ...]]:
+        """Per state, its outgoing arcs as ``(label, target, dead,
+        accepting)``, where ``dead`` means the target has no outgoing arc."""
+        live = {q for q, _, _ in self.transitions}
+        table: dict[int, list[tuple[str, int, bool, bool]]] = {q: [] for q in self.states}
         for q, q2, label in self.transitions:
-            table[q].append((label, q2))
+            table[q].append((label, q2, q2 not in live, q2 in self.accepting))
         return {q: tuple(arcs) for q, arcs in table.items()}
 
     @cached_property
@@ -77,14 +86,8 @@ class Nfa:
             table.setdefault((q, label), []).append(q2)
         return {key: tuple(targets) for key, targets in table.items()}
 
-    def out(self, state: int) -> tuple[tuple[str, int], ...]:
-        return self._out[state]
-
     def step(self, state: int, label: str) -> tuple[int, ...]:
         return self._step.get((state, label), ())
-
-    def is_accepting(self, state: int) -> bool:
-        return state in self.accepting
 
     def accepts(self, word: Iterable[str]) -> bool:
         frontier = {self.start}
@@ -98,7 +101,8 @@ class Nfa:
 class GraphNfa:
     """Lazy automaton view of (graph, subject, object): states are nodes,
     transitions the traversable labelled edges, ``subject`` starts and
-    ``object`` accepts."""
+    ``object`` accepts. ``step(state, label)`` is the graph's
+    :meth:`SystemGraph.neighbors`."""
 
     def __init__(self, graph: SystemGraph, start: str, accept: str):
         graph.node_type(start)
@@ -106,19 +110,8 @@ class GraphNfa:
         self.graph = graph
         self.start = start
         self.accept = accept
-
-    @property
-    def state_count(self) -> int:
-        return len(self.graph)
-
-    def step(self, state: str, label: str) -> set[str]:
-        return self.graph.neighbors(state, label)
-
-    def out(self, state: str) -> Iterator[tuple[str, str]]:
-        return self.graph.out_labels(state)
-
-    def is_accepting(self, state: str) -> bool:
-        return state == self.accept
+        self.accepting = frozenset({accept})
+        self.step = graph.neighbors
 
     def accepts(self, word: Iterable[str]) -> bool:
         frontier = {self.start}
@@ -205,49 +198,58 @@ def intersection_search(
 ) -> IntersectionResult:
     """Decide ``L(m1) & L(m2) != {}`` by BFS over reachable product states.
 
-    ``m1`` drives the expansion (enumerable transitions, normally the
-    compiled path-condition automaton); ``m2`` only needs per-label stepping,
-    so a :class:`GraphNfa` never materializes. Unreachable product states
-    are never touched; the visited set caps the walk at |Q1| * |Q2|.
+    ``m1`` drives the expansion (an :class:`Nfa`, normally the compiled
+    path condition); ``m2`` only needs per-label stepping and an
+    ``accepting`` set, so a :class:`GraphNfa` never materializes. Unreachable
+    product states are never touched, and product states over a dead ``m1``
+    state are never enqueued: visits stay within (live ``m1`` states) *
+    |Q2| + 1.
     """
     start = (m1.start, m2.start)
     parents: dict[tuple, tuple] | None = {} if want_witness else None
     visits = 0
 
-    def finish(nonempty: bool, hit=None) -> IntersectionResult:
+    def finish(nonempty: bool, last: tuple | None = None) -> IntersectionResult:
+        """``last`` is the (product state, label) of the accepting step."""
         if stats is not None:
             stats.product_visits += visits
             stats.searches += 1
         witness = None
         if nonempty and parents is not None:
             labels = []
-            state = hit
-            while state != start:
-                state, label = parents[state]
+            while last is not None:
+                state, label = last
                 labels.append(label)
+                last = parents.get(state)
             witness = tuple(reversed(labels))
         return IntersectionResult(nonempty, visits, witness)
 
-    if m1.is_accepting(m1.start) and m2.is_accepting(m2.start):
+    accepting = m2.accepting
+    if m1.start in m1.accepting and m2.start in accepting:
         visits = 1
-        return finish(True, start)
+        return finish(True)
 
+    arcs, step = m1.arcs, m2.step
     seen = {start}
     frontier = deque([start])
     while frontier:
-        q1, q2 = frontier.popleft()
+        here = frontier.popleft()
+        q1, q2 = here
         visits += 1
-        for label, n1 in m1.out(q1):
-            for n2 in m2.step(q2, label):
+        for label, n1, dead, final in arcs[q1]:
+            targets = step(q2, label)
+            if final and not accepting.isdisjoint(targets):
+                visits += 1
+                return finish(True, (here, label))
+            if dead:
+                continue
+            for n2 in targets:
                 nxt = (n1, n2)
                 if nxt in seen:
                     continue
                 seen.add(nxt)
                 if parents is not None:
-                    parents[nxt] = ((q1, q2), label)
-                if m1.is_accepting(n1) and m2.is_accepting(n2):
-                    visits += 1
-                    return finish(True, nxt)
+                    parents[nxt] = (here, label)
                 frontier.append(nxt)
     return finish(False)
 
@@ -320,6 +322,7 @@ def reachable_accepting(
     compiled condition (one sweep instead of one search per candidate)."""
     if start not in g:
         raise UnknownNodeError(f"unknown entity {start!r}")
+    arcs, step = nfa.arcs, g.neighbors
     seen = {(nfa.start, start)}
     frontier = deque(seen)
     found: set[str] = set()
@@ -327,14 +330,17 @@ def reachable_accepting(
     while frontier:
         q, v = frontier.popleft()
         visits += 1
-        for label, q2 in nfa.out(q):
-            for w in g.neighbors(v, label):
+        for label, q2, dead, final in arcs[q]:
+            targets = step(v, label)
+            if final:
+                found |= targets
+            if dead:
+                continue
+            for w in targets:
                 state = (q2, w)
                 if state in seen:
                     continue
                 seen.add(state)
-                if nfa.is_accepting(q2):
-                    found.add(w)
                 frontier.append(state)
     if stats is not None:
         stats.product_visits += visits

@@ -7,7 +7,8 @@ empty matched set or an empty decision set falls through to the default
 cascade. Around that core this module layers the history machinery:
 
 * caching edges store a pair's matched principals, stamped with the graph
-  epoch, so repeat pairs skip principal matching while fresh;
+  epoch read before matching, so repeat pairs skip principal matching
+  while fresh and a write that lands mid-match leaves the entry stale;
 * decision audit edges record each (subject, object, action) outcome once,
   giving path conditions access to past decisions (separation of duty);
 * interest audit edges mark a subject's active interest in a company and
@@ -223,6 +224,7 @@ class Evaluator:
             raise UnknownActionError(f"unknown action {a!r}")
 
         lines: list[str] | None = [] if trace else None
+        epoch = g.epoch
         matched, cache_assisted, cacheable = self._matched(s, o, o_type, a, lines)
 
         if not matched:
@@ -256,7 +258,7 @@ class Evaluator:
                 if lines is not None:
                     lines.append(f"crs {self.policy.crs.value} -> {decision.value}")
 
-        self._writeback(s, o, a, decision, matched, cacheable, lines)
+        self._writeback(s, o, a, decision, matched, cacheable, epoch, lines)
         self.stats.evaluations += 1
         return EvalResult(
             decision=decision,
@@ -367,17 +369,18 @@ class Evaluator:
         decision: Decision,
         matched: frozenset[str],
         cacheable: bool,
+        epoch: int,
         lines: list[str] | None,
     ) -> None:
         cfg = self.config
         g = self.graph
         wrote_cw = False
         with g.write_lock():
-            # The cache entry is stamped with the pre-writeback epoch on
-            # purpose: if this same writeback adds a policy-relevant edge,
-            # the entry must die with it.
+            # The cache entry is stamped with ``epoch``, read before
+            # matching: a write that landed while matching ran, or a
+            # policy-relevant edge added by this same writeback, stales it.
             if cfg.caching_enabled and cacheable:
-                g.record_typed_edge(s, o, Caching(matched))
+                g.record_typed_edge(s, o, Caching(matched, epoch))
                 self.stats.cache_writes += 1
                 if lines is not None:
                     lines.append("cache write")
@@ -556,6 +559,7 @@ def warm_cache(
     for subject, obj in pairs:
         if g.lookup_cache(subject, obj) is not None:
             continue
+        epoch = g.epoch
         search = SearchStats()
         matched = match_principals(g, pmp, subject, obj, stats=search)
         if stats is not None:
@@ -563,7 +567,7 @@ def warm_cache(
             stats.product_visits += search.product_visits
             stats.searches += search.searches
         with g.write_lock():
-            g.record_typed_edge(subject, obj, Caching(matched))
+            g.record_typed_edge(subject, obj, Caching(matched, epoch))
         if stats is not None:
             stats.cache_writes += 1
         written += 1

@@ -29,7 +29,9 @@ anything).
 
 from __future__ import annotations
 
+import os
 import re
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,7 +220,21 @@ def serialize_graph(g: SystemGraph) -> str:
 
 
 def save_graph(g: SystemGraph, path: str | Path) -> None:
-    Path(path).write_text(serialize_graph(g), encoding="utf-8")
+    """Replace ``path`` with the graph's dump atomically: the text goes to a
+    temporary file beside it, reaches the disk, then is renamed over the
+    target, so the target is always the old file or the whole new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    out = open(tmp, "x", encoding="utf-8")
+    try:
+        with out:
+            out.write(serialize_graph(g))
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # --- policy -----------------------------------------------------------------

@@ -4,9 +4,10 @@ The model fixes entity types, relationship labels, the symmetric subset and
 the permissible-relationship graph; the graph holds typed entities plus four
 kinds of edges: ordinary relationship edges and the three history kinds
 written back by the evaluation engine (caching, decision audit, interest
-audit). Relationship edges are stored once in their canonical direction;
-reverse and symmetric traversals are answered by the query layer, so the
-"edge in both directions" view holds by construction.
+audit). Every edge is entered into one label-keyed adjacency index in
+both directions at insert time, under each traversal label that reaches it
+(``r`` and ``~r``, ``@x`` and ``~@x``), so a one-step traversal is a single
+lookup and the "edge in both directions" view holds by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import AbstractSet, Iterator, Union
 
 from .errors import (
     DuplicateEntityError,
@@ -61,10 +62,18 @@ def reverse_label(label: str) -> str:
     return label[1:] if label.startswith("~") else "~" + label
 
 
-def _split(label: str) -> tuple[str, bool]:
-    if label.startswith("~"):
-        return label[1:], True
-    return label, False
+_NO_NEIGHBORS: frozenset[str] = frozenset()
+
+
+def _bucket(by_label: dict[str, set[str]], label: str, alias: str | None = None) -> set[str]:
+    """The neighbor set under ``label``, created on first use; ``alias``
+    binds a second label to the same set object."""
+    bucket = by_label.get(label)
+    if bucket is None:
+        bucket = by_label[label] = set()
+        if alias is not None:
+            by_label[alias] = bucket
+    return bucket
 
 
 # --- schema -------------------------------------------------------------------
@@ -100,12 +109,11 @@ class SystemModel:
     def permits(self, from_type: str, to_type: str, label: str) -> bool:
         """Schema check for a traversal label; reverse labels are the derived
         view of the canonical triples, symmetric labels permit either order."""
-        base, rev = _split(label)
-        if rev:
-            return self.permits(to_type, from_type, base)
-        if (from_type, to_type, base) in self.permissible:
+        if label.startswith("~"):
+            return self.permits(to_type, from_type, label[1:])
+        if (from_type, to_type, label) in self.permissible:
             return True
-        return base in self.symmetric and (to_type, from_type, base) in self.permissible
+        return label in self.symmetric and (to_type, from_type, label) in self.permissible
 
 
 # --- edge kinds -----------------------------------------------------------------
@@ -177,10 +185,10 @@ class SystemGraph:
         self.model = model
         self.cache_capacity = cache_capacity
         self._types: dict[str, str] = {}
-        self._out: dict[str, dict[str, set[str]]] = {}
-        self._in: dict[str, dict[str, set[str]]] = {}
-        self._system_out: dict[str, dict[str, set[str]]] = {}
-        self._system_in: dict[str, dict[str, set[str]]] = {}
+        # node -> traversal label -> neighbors. A symmetric relation keeps
+        # both directions in one set per node, bound to both ``r`` and ``~r``.
+        self._adj: dict[str, dict[str, set[str]]] = {}
+        self._reverse = {r: "~" + r for r in model.relations}
         self._cache: OrderedDict[tuple[str, str], tuple[frozenset[str], int]] = OrderedDict()
         self._frozen_relations: set[str] = set()
         self._interest_edges = 0
@@ -224,10 +232,7 @@ class SystemGraph:
             if not node or any(ch.isspace() for ch in node) or node.startswith(("@", "#", "~")):
                 raise ModelError(f"invalid entity id {node!r}")
             self._types[node] = type_name
-            self._out[node] = {}
-            self._in[node] = {}
-            self._system_out[node] = {}
-            self._system_in[node] = {}
+            self._adj[node] = {}
             self._epoch += 1
 
     def add_relationship(self, from_node: str, to_node: str, relation: str) -> bool:
@@ -253,12 +258,18 @@ class SystemGraph:
                     f"({self._types[from_node]},{self._types[to_node]},{relation}) "
                     "is not a permissible relationship"
                 )
-            if to_node in self._out[from_node].get(relation, ()):
+            adj_from, adj_to = self._adj[from_node], self._adj[to_node]
+            # A symmetric set holds both directions, so this also catches
+            # the flipped form of a symmetric edge.
+            if to_node in adj_from.get(relation, _NO_NEIGHBORS):
                 return False
-            if relation in self.model.symmetric and from_node in self._out[to_node].get(relation, ()):
-                return False
-            self._out[from_node].setdefault(relation, set()).add(to_node)
-            self._in[to_node].setdefault(relation, set()).add(from_node)
+            reverse = self._reverse[relation]
+            if relation in self.model.symmetric:
+                _bucket(adj_from, relation, reverse).add(to_node)
+                _bucket(adj_to, relation, reverse).add(from_node)
+            else:
+                _bucket(adj_from, relation).add(to_node)
+                _bucket(adj_to, reverse).add(from_node)
             self._epoch += 1
             return True
 
@@ -280,11 +291,11 @@ class SystemGraph:
                         self._cache.popitem(last=False)
                 return True
             label = kind.label
-            targets = self._system_out[from_node].setdefault(label, set())
+            targets = _bucket(self._adj[from_node], label)
             if to_node in targets:
                 return False
             targets.add(to_node)
-            self._system_in[to_node].setdefault(label, set()).add(from_node)
+            _bucket(self._adj[to_node], "~" + label).add(from_node)
             if isinstance(kind, InterestAudit):
                 self._interest_edges += 1
             return True
@@ -305,46 +316,19 @@ class SystemGraph:
 
     # -- traversal
 
-    def neighbors(self, node: str, label: str) -> set[str]:
-        """All nodes reachable over one ``label`` step, answering derived
-        reverse ("~r") and symmetric views as well as system labels.
-        Labels that exist nowhere simply yield the empty set."""
-        self._require(node)
-        base, rev = _split(label)
-        if base.startswith("@"):
-            store_out, store_in = self._system_out, self._system_in
-            symmetric = False
-        else:
-            store_out, store_in = self._out, self._in
-            symmetric = base in self.model.symmetric
-        if rev and not symmetric:
-            result = set(store_in[node].get(base, ()))
-        else:
-            result = set(store_out[node].get(base, ()))
-            if symmetric:
-                result.update(store_in[node].get(base, ()))
-        return result
+    def neighbors(self, node: str, label: str) -> AbstractSet[str]:
+        """All nodes reachable from ``node`` over one ``label`` step, for
+        relation (``r``), reverse (``~r``), symmetric and system (``@x``,
+        ``~@x``) labels alike. Labels that exist nowhere yield the empty set.
 
-    def out_labels(self, node: str) -> Iterator[tuple[str, str]]:
-        """Every one-step traversal from ``node`` as (label, neighbor),
-        including derived reverse and symmetric views."""
-        self._require(node)
-        seen_sym: set[str] = set()
-        for label, targets in self._out[node].items():
-            for w in targets:
-                yield label, w
-            if label in self.model.symmetric:
-                seen_sym.add(label)
-        for label, sources in self._in[node].items():
-            rev = label if label in self.model.symmetric else "~" + label
-            for w in sources:
-                yield rev, w
-        for label, targets in self._system_out[node].items():
-            for w in targets:
-                yield label, w
-        for label, sources in self._system_in[node].items():
-            for w in sources:
-                yield "~" + label, w
+        The result is a read-only view of the graph's own set, not a copy:
+        it is valid under the many-readers-or-one-writer contract, and a
+        caller that mutates the graph while iterating it must copy it first.
+        """
+        try:
+            return self._adj[node].get(label, _NO_NEIGHBORS)
+        except KeyError:
+            raise UnknownNodeError(f"unknown entity {node!r}") from None
 
     # -- caching edges
 
@@ -364,16 +348,23 @@ class SystemGraph:
     # -- enumeration / validation
 
     def relationship_edges(self) -> Iterator[tuple[str, str, str]]:
-        """Stored canonical relationship edges."""
-        for v, by_label in self._out.items():
+        """Stored relationship edges; a symmetric edge comes once, as
+        ``(v, w)`` with ``v <= w``."""
+        symmetric = self.model.symmetric
+        for v, by_label in self._adj.items():
             for label, targets in by_label.items():
+                if label.startswith(("~", "@")):
+                    continue
                 for w in targets:
-                    yield v, w, label
+                    if label not in symmetric or v <= w:
+                        yield v, w, label
 
     def typed_edges(self) -> Iterator[tuple[str, str, EdgeKind]]:
         """History edges: audit, interest, then caching."""
-        for v, by_label in self._system_out.items():
+        for v, by_label in self._adj.items():
             for label, targets in by_label.items():
+                if not label.startswith("@"):
+                    continue
                 kind = kind_from_label(label)
                 for w in targets:
                     yield v, w, kind

@@ -12,10 +12,20 @@ from relac.automata import (
     compile_condition,
     intersection_nonempty,
     intersection_search,
+    match_detail,
     matches,
     reachable_accepting,
 )
 from relac.errors import EmptyPathConditionError, NotSimpleError, UnknownNodeError
+from relac.graph import (
+    INTEREST_ACTIVE,
+    INTEREST_BLOCKED,
+    DecisionAudit,
+    InterestAudit,
+    SystemGraph,
+    SystemModel,
+    allow_label,
+)
 from relac.oracle import satisfaction_table
 from relac.pathcond import ALL, NONE, Empty, PathTarget, metrics, parse, to_text
 
@@ -139,6 +149,44 @@ def test_intersection_visit_bound_random():
         assert result.visits <= len(nfa.states) * len(g)
 
 
+def _star(k: int) -> SystemGraph:
+    """User u in group grp, which owns docs d0..d{k-1}; doc loose is unowned."""
+    model = SystemModel(
+        types=frozenset({"user", "group", "doc"}),
+        relations=frozenset({"member", "owns"}),
+        permissible=frozenset({("user", "group", "member"), ("group", "doc", "owns")}),
+    )
+    g = SystemGraph(model)
+    g.add_entity("u", "user")
+    g.add_entity("grp", "group")
+    g.add_entity("loose", "doc")
+    g.add_relationship("u", "grp", "member")
+    for i in range(k):
+        g.add_entity(f"d{i}", "doc")
+        g.add_relationship("grp", f"d{i}", "owns")
+    return g
+
+
+def test_dead_final_state_is_never_expanded():
+    # The last step of member;owns is one membership test on owns(grp), so
+    # the visits do not grow with the number of docs the group owns.
+    nfa = compile_condition(parse("member;owns"))
+    live = len({q for q, _, _ in nfa.transitions})  # states with an outgoing arc
+
+    def visits(k: int) -> tuple[int, ...]:
+        g = _star(k)
+        hit = intersection_search(nfa, GraphNfa(g, "u", f"d{k - 1}"))
+        miss = intersection_search(nfa, GraphNfa(g, "u", "loose"))
+        assert hit.nonempty and not miss.nonempty
+        for result in (hit, miss):
+            assert result.visits <= live * len(g) + 1
+        sweep = SearchStats()
+        assert reachable_accepting(nfa, g, "u", stats=sweep) == {f"d{i}" for i in range(k)}
+        return hit.visits, miss.visits, sweep.product_visits
+
+    assert visits(10) == visits(1000)
+
+
 def test_search_stats_accumulate(course):
     _, g, _ = course
     stats = SearchStats()
@@ -181,20 +229,36 @@ def test_matches_handles_cycles():
 
 
 def test_matches_agrees_with_oracle_random():
+    # History edges and @-labelled (also reversed) steps are traversed like
+    # relations; conditions ending in + keep a live accepting state.
     rng = random.Random(0xFEED)
+    history = [allow_label("a"), allow_label("b"), INTEREST_ACTIVE, INTEREST_BLOCKED]
     for _ in range(40):
         g = random_graph(rng, max_nodes=9, n_relations=3, max_edges=16)
         nodes = sorted(g.nodes())
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.choice(
+                [DecisionAudit(rng.choice("ab"), allowed=True), InterestAudit(rng.random() < 0.5)]
+            )
+            g.record_typed_edge(rng.choice(nodes), rng.choice(nodes), kind)
         for _ in range(8):
             p = random_simple_condition(
-                rng, sorted(g.model.relations), 4, g.model.symmetric
+                rng, sorted(g.model.relations) + history, 4, g.model.symmetric
             )
             nfa = compile_condition(p)
             _, table = satisfaction_table(g, p)
             for i, u in enumerate(nodes):
                 for j, v in enumerate(nodes):
-                    got = matches(g, u, v, PathTarget(p), compiled=nfa)
+                    got, witness = match_detail(
+                        g, u, v, PathTarget(p), compiled=nfa, want_witness=True
+                    )
                     assert got == bool(table[i, j]), (to_text(p), u, v)
+                    assert matches(g, u, v, PathTarget(p), compiled=nfa) == got
+                    if got:
+                        assert nfa.accepts(witness), (to_text(p), u, v, witness)
+                        assert GraphNfa(g, u, v).accepts(witness), (to_text(p), u, v, witness)
+                reached = reachable_accepting(nfa, g, u)
+                assert reached == {v for j, v in enumerate(nodes) if table[i, j]}, to_text(p)
 
 
 def test_reachable_accepting(course):

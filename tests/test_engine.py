@@ -5,6 +5,7 @@ import random
 import pytest
 
 import helpers
+import relac.engine
 from helpers import random_graph
 from relac.engine import (
     DecisionSource,
@@ -423,6 +424,32 @@ def test_warm_cache_stale_after_mutation(course):
     ev = Evaluator(g, parsed.pmp, parsed.policy, parsed.defaults, history(caching_enabled=True))
     result = ev.evaluate(Request("u1", "a3", "read"))
     assert not result.cache_assisted
+
+
+@pytest.mark.parametrize("fill", ["evaluate", "warm"])
+def test_write_during_matching_stales_the_cache_entry(monkeypatch, fill):
+    # A relationship added after matching read the graph but before the
+    # caching edge is written must leave that edge stale, not fresh.
+    g, pmp, policy, defaults = _fresh_course()
+    ev = Evaluator(g, pmp, policy, defaults, history(caching_enabled=True))
+    unwrapped = relac.engine.match_principals
+
+    def racing(*args, **kwargs):
+        matched = unwrapped(*args, **kwargs)
+        g.add_relationship("u1", "a1", "is-creator-of")  # u1 becomes an author
+        monkeypatch.setattr(relac.engine, "match_principals", unwrapped)
+        return matched
+
+    monkeypatch.setattr(relac.engine, "match_principals", racing)
+    if fill == "evaluate":
+        assert ev.evaluate(Request("u1", "a1", "read")).matched == frozenset()
+    else:
+        assert ev.warm([("u1", "a1")]) == 1
+    result = ev.evaluate(Request("u1", "a1", "read"))
+    assert not result.cache_assisted
+    uncached = Evaluator(g, pmp, policy, defaults).evaluate(Request("u1", "a1", "read"))
+    assert (result.decision, result.matched) == (uncached.decision, uncached.matched)
+    assert result.matched == frozenset({"author"})
 
 
 # --- target-based scheduling ----------------------------------------------------------

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import helpers
+import relac.fileformat
+from helpers import random_graph
 from relac.errors import FileFormatError
 from relac.fileformat import (
+    load_graph,
     parse_graph,
     parse_model,
     parse_pairs,
     parse_policy,
     parse_requests,
+    save_graph,
     serialize_graph,
 )
 from relac.graph import Caching, DecisionAudit, InterestAudit
@@ -70,6 +76,41 @@ def test_graph_serialization_round_trip(course):
     # the epoch line keeps warmed caches fresh across the round trip
     assert g2.lookup_cache("u1", "a3") == frozenset({"course-ta"})
     assert serialize_graph(g2) == text
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    rng = random.Random(5)
+    for round_ in range(10):
+        g = random_graph(rng, symmetric_count=2)
+        nodes = sorted(g.nodes())
+        sym = min(g.model.symmetric)
+        g.add_relationship(nodes[-1], nodes[0], sym)  # reversed orientation
+        g.record_typed_edge(nodes[0], nodes[1], DecisionAudit("read", allowed=True))
+        g.record_typed_edge(nodes[1], nodes[0], InterestAudit(blocked=True))
+        g.record_typed_edge(nodes[0], nodes[-1], Caching(frozenset({"p", "q"})))
+        first, second = tmp_path / f"a{round_}.txt", tmp_path / f"b{round_}.txt"
+        save_graph(g, first)
+        g2 = load_graph(first, g.model)
+        save_graph(g2, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert sorted(g.relationship_edges()) == sorted(g2.relationship_edges())
+
+
+def test_save_graph_failure_keeps_old_file(course, tmp_path, monkeypatch):
+    _, g, _ = course
+    target = tmp_path / "graph.txt"
+    save_graph(g, target)
+    before = target.read_bytes()
+    g.record_typed_edge("u1", "a3", DecisionAudit("read", allowed=True))
+
+    def broken(_graph):
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(relac.fileformat, "serialize_graph", broken)
+    with pytest.raises(RuntimeError):
+        save_graph(g, target)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.txt"]
 
 
 def test_policy_defaults_to_deny_overrides(course):

@@ -108,6 +108,12 @@ def test_duplicate_edges_are_idempotent_without_epoch_bump():
     assert g.add_relationship("u1", "u2", "knows") is False
     assert g.add_relationship("u2", "u1", "knows") is False  # symmetric flip
     assert g.epoch == before
+    # first stored in reversed orientation: the other one is the duplicate,
+    # and the edge enumerates once, in one fixed orientation
+    g.add_entity("u0", "user")
+    assert g.add_relationship("u1", "u0", "knows") is True
+    assert g.add_relationship("u0", "u1", "knows") is False
+    assert sorted(g.relationship_edges()) == [("u0", "u1", "knows"), ("u1", "u2", "knows")]
 
 
 def test_epoch_counts_effective_mutations():
@@ -144,6 +150,7 @@ def test_symmetric_edges_traverse_both_ways():
     g.add_relationship("u1", "u2", "knows")
     assert g.neighbors("u2", "knows") == {"u1"}
     assert g.neighbors("u2", "~knows") == {"u1"}
+    assert g.neighbors("u1", "knows") == g.neighbors("u1", "~knows") == {"u2"}
 
 
 def test_reverse_view_invariant_random():
@@ -155,15 +162,16 @@ def test_reverse_view_invariant_random():
             assert v in g.neighbors(w, reverse_label(label))
             if label in g.model.symmetric:
                 assert v in g.neighbors(w, label)
+        for v in g.nodes():
+            for label in g.model.symmetric:
+                assert g.neighbors(v, label) == g.neighbors(v, reverse_label(label))
 
 
-def test_out_labels_covers_every_view(course):
+def test_neighbors_covers_every_reverse_view(course):
     _, g, _ = course
-    arcs = set(g.out_labels("c1"))
-    assert ("~is-enrolled-on", "u1") in arcs
-    assert ("~is-coursework-for", "a1") in arcs
-    assert ("~is-coursework-for", "a2") in arcs
-    assert ("~is-responsible-for", "u2") in arcs
+    assert g.neighbors("c1", "~is-enrolled-on") == {"u1"}
+    assert g.neighbors("c1", "~is-coursework-for") == {"a1", "a2"}
+    assert g.neighbors("c1", "~is-responsible-for") == {"u2"}
 
 
 # --- typed edges -----------------------------------------------------------------
@@ -176,6 +184,7 @@ def test_record_typed_edge_dedup_and_errors():
     assert g.record_typed_edge("u1", "d1", kind) is True
     assert g.record_typed_edge("u1", "d1", kind) is False
     assert g.neighbors("u1", allow_label("grade")) == {"d1"}
+    assert g.neighbors("d1", reverse_label(allow_label("grade"))) == {"u1"}
     with pytest.raises(ValueError):
         g.record_typed_edge("u1", "d1", Relationship("owns"))
     with pytest.raises(UnknownNodeError):
@@ -188,7 +197,7 @@ def test_typed_edges_do_not_bump_epoch_or_leak_into_relationship_queries():
     g.add_entity("d1", "doc")
     g.add_relationship("u1", "d1", "owns")
     before_epoch = g.epoch
-    before = {label: g.neighbors("u1", label) for label in ("owns", "~owns", "knows")}
+    before = {label: set(g.neighbors("u1", label)) for label in ("owns", "~owns", "knows")}
     g.record_typed_edge("u1", "d1", DecisionAudit("read", allowed=False))
     g.record_typed_edge("u1", "d1", InterestAudit(blocked=True))
     assert g.epoch == before_epoch
