@@ -17,8 +17,7 @@ from .graph import (
     SystemModel,
 )
 from .pathcond import ALL, NONE, PathTarget, parse, simplify, to_text
-from .automata import GraphNfa, Nfa, compile_condition, intersection_nonempty, matches
-from .oracle import oracle_satisfies
+from .automata import Nfa, compile_condition, matches
 from .policy import (
     AuthRule,
     Crs,
@@ -36,7 +35,6 @@ from .engine import (
     Evaluator,
     HistoryConfig,
     Request,
-    SodConfig,
     build_chinese_wall_rules,
     build_sod_policy,
     evaluate,
@@ -60,11 +58,8 @@ __all__ = [
     "NONE",
     "PathTarget",
     "Nfa",
-    "GraphNfa",
     "compile_condition",
-    "intersection_nonempty",
     "matches",
-    "oracle_satisfies",
     "Decision",
     "Crs",
     "PmpShape",
@@ -79,7 +74,6 @@ __all__ = [
     "Evaluator",
     "HistoryConfig",
     "ChineseWallConfig",
-    "SodConfig",
     "evaluate",
     "build_sod_policy",
     "build_chinese_wall_rules",

@@ -4,10 +4,12 @@ A simple path condition compiles to an epsilon-free NFA with a single
 accepting state and a unique transition out of the start state; for a
 condition of length ``l`` with ``k`` plus operators the automaton has
 exactly ``l + 1`` states and ``l + k`` transitions. A (graph, subject,
-object) triple is viewed as an NFA whose states are graph nodes, without
-materializing anything. Deciding whether a condition is matched between two
-nodes is then a breadth-first search over reachable product states: the
-condition holds iff the two automata accept a common word.
+object) triple is read as an NFA whose states are graph nodes, without
+materializing anything: the graph's label-keyed adjacency is its transition
+table, the subject its start and the object its accepting state. Deciding
+whether a condition is matched between two nodes is then a breadth-first
+search over reachable product states: the condition holds iff the two
+automata accept a common word.
 
 A condition state with no outgoing arcs is dead: no product state through
 it can lead anywhere. The search never enqueues one. A step into a dead
@@ -18,10 +20,9 @@ node it reaches.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import AbstractSet, Mapping, NamedTuple
 
 from .errors import EmptyPathConditionError, NotSimpleError, UnknownNodeError
 from .graph import SystemGraph
@@ -41,9 +42,7 @@ from .pathcond import (
 
 __all__ = [
     "Nfa",
-    "GraphNfa",
     "compile_condition",
-    "intersection_nonempty",
     "intersection_search",
     "IntersectionResult",
     "SearchStats",
@@ -66,10 +65,6 @@ class Nfa:
     accepting: frozenset[int]
 
     @cached_property
-    def alphabet(self) -> frozenset[str]:
-        return frozenset(label for _, _, label in self.transitions)
-
-    @cached_property
     def arcs(self) -> dict[int, tuple[tuple[str, int, bool, bool], ...]]:
         """Per state, its outgoing arcs as ``(label, target, dead,
         accepting)``, where ``dead`` means the target has no outgoing arc."""
@@ -78,48 +73,6 @@ class Nfa:
         for q, q2, label in self.transitions:
             table[q].append((label, q2, q2 not in live, q2 in self.accepting))
         return {q: tuple(arcs) for q, arcs in table.items()}
-
-    @cached_property
-    def _step(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        table: dict[tuple[int, str], list[int]] = {}
-        for q, q2, label in self.transitions:
-            table.setdefault((q, label), []).append(q2)
-        return {key: tuple(targets) for key, targets in table.items()}
-
-    def step(self, state: int, label: str) -> tuple[int, ...]:
-        return self._step.get((state, label), ())
-
-    def accepts(self, word: Iterable[str]) -> bool:
-        frontier = {self.start}
-        for label in word:
-            frontier = {q2 for q in frontier for q2 in self.step(q, label)}
-            if not frontier:
-                return False
-        return bool(frontier & self.accepting)
-
-
-class GraphNfa:
-    """Lazy automaton view of (graph, subject, object): states are nodes,
-    transitions the traversable labelled edges, ``subject`` starts and
-    ``object`` accepts. ``step(state, label)`` is the graph's
-    :meth:`SystemGraph.neighbors`."""
-
-    def __init__(self, graph: SystemGraph, start: str, accept: str):
-        graph.node_type(start)
-        graph.node_type(accept)
-        self.graph = graph
-        self.start = start
-        self.accept = accept
-        self.accepting = frozenset({accept})
-        self.step = graph.neighbors
-
-    def accepts(self, word: Iterable[str]) -> bool:
-        frontier = {self.start}
-        for label in word:
-            frontier = {w for v in frontier for w in self.graph.neighbors(v, label)}
-            if not frontier:
-                return False
-        return self.accept in frontier
 
 
 # --- compilation ----------------------------------------------------------------
@@ -182,84 +135,129 @@ class SearchStats:
     searches: int = 0
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
+class IntersectionResult(NamedTuple):
     nonempty: bool
     visits: int
     witness: tuple[str, ...] | None = None
 
 
-def intersection_search(
-    m1,
-    m2,
-    *,
-    want_witness: bool = False,
-    stats: SearchStats | None = None,
-) -> IntersectionResult:
-    """Decide ``L(m1) & L(m2) != {}`` by BFS over reachable product states.
+_NO_NEIGHBORS: frozenset[str] = frozenset()
 
-    ``m1`` drives the expansion (an :class:`Nfa`, normally the compiled
-    path condition); ``m2`` only needs per-label stepping and an
-    ``accepting`` set, so a :class:`GraphNfa` never materializes. Unreachable
-    product states are never touched, and product states over a dead ``m1``
-    state are never enqueued: visits stay within (live ``m1`` states) *
-    |Q2| + 1.
+_Adjacency = Mapping[str, Mapping[str, AbstractSet[str]]]
+
+
+def _product_bfs(
+    nfa: Nfa,
+    adjacency: _Adjacency,
+    start: str,
+    target: str | None,
+    parents: dict | None = None,
+) -> tuple[int, object]:
+    """BFS over the product of ``nfa`` and the graph from ``(nfa.start, start)``.
+
+    With a ``target`` node the search stops at the first step that reaches
+    it in an accepting condition state and returns ``(visits, (product
+    state, label))`` for that step, or ``(visits, None)`` when there is
+    none. Without one it runs to the end and returns ``(visits, accepted
+    nodes)``. ``parents``, when given, receives each enqueued product
+    state's ``(parent state, label)``. Product states over a dead condition
+    state are never enqueued, so visits stay within (live condition states)
+    * |V| + 1. ``start`` must be a node of the graph.
     """
-    start = (m1.start, m2.start)
-    parents: dict[tuple, tuple] | None = {} if want_witness else None
+    found: set[str] | None = set() if target is None else None
+    arcs = nfa.arcs
+    here = (nfa.start, start)
+    seen = {here}
+    # FIFO order: a list iterator also yields the items appended behind it.
+    frontier = [here]
     visits = 0
-
-    def finish(nonempty: bool, last: tuple | None = None) -> IntersectionResult:
-        """``last`` is the (product state, label) of the accepting step."""
-        if stats is not None:
-            stats.product_visits += visits
-            stats.searches += 1
-        witness = None
-        if nonempty and parents is not None:
-            labels = []
-            while last is not None:
-                state, label = last
-                labels.append(label)
-                last = parents.get(state)
-            witness = tuple(reversed(labels))
-        return IntersectionResult(nonempty, visits, witness)
-
-    accepting = m2.accepting
-    if m1.start in m1.accepting and m2.start in accepting:
-        visits = 1
-        return finish(True)
-
-    arcs, step = m1.arcs, m2.step
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        here = frontier.popleft()
-        q1, q2 = here
+    for here in frontier:
+        q, v = here
         visits += 1
-        for label, n1, dead, final in arcs[q1]:
-            targets = step(q2, label)
-            if final and not accepting.isdisjoint(targets):
-                visits += 1
-                return finish(True, (here, label))
+        by_label = adjacency[v]
+        for label, q2, dead, final in arcs[q]:
+            targets = by_label.get(label, _NO_NEIGHBORS)
+            if final:
+                if found is not None:
+                    found |= targets
+                elif target in targets:
+                    return visits + 1, (here, label)
             if dead:
                 continue
-            for n2 in targets:
-                nxt = (n1, n2)
+            for w in targets:
+                nxt = (q2, w)
                 if nxt in seen:
                     continue
                 seen.add(nxt)
                 if parents is not None:
                     parents[nxt] = (here, label)
                 frontier.append(nxt)
-    return finish(False)
+    return visits, found
 
 
-def intersection_nonempty(m1, m2, *, stats: SearchStats | None = None) -> bool:
-    """True iff the two automata accept at least one common word."""
-    return intersection_search(m1, m2, stats=stats).nonempty
+def _require(adjacency: _Adjacency, *nodes: str) -> None:
+    for node in nodes:
+        if node not in adjacency:
+            raise UnknownNodeError(f"unknown entity {node!r}")
+
+
+def intersection_search(
+    nfa: Nfa,
+    graph: SystemGraph,
+    subject: str,
+    obj: str,
+    *,
+    want_witness: bool = False,
+    stats: SearchStats | None = None,
+) -> IntersectionResult:
+    """Decide whether some path from ``subject`` to ``obj`` spells a word of
+    ``nfa``: a product search that stops at the first accepting step. The
+    witness is that path's label word, built only when asked for."""
+    adjacency = graph.adjacency
+    if subject not in adjacency or obj not in adjacency:
+        _require(adjacency, subject, obj)
+    parents: dict | None = {} if want_witness else None
+    if nfa.start in nfa.accepting and subject == obj:
+        visits, last = 1, ()
+    else:
+        visits, last = _product_bfs(nfa, adjacency, subject, obj, parents)
+    if stats is not None:
+        stats.product_visits += visits
+        stats.searches += 1
+    if last is None:
+        return IntersectionResult(False, visits)
+    if not want_witness:
+        return IntersectionResult(True, visits)
+    labels = []
+    while last:
+        state, label = last
+        labels.append(label)
+        last = parents.get(state, ())
+    return IntersectionResult(True, visits, tuple(reversed(labels)))
+
+
+def reachable_accepting(
+    nfa: Nfa,
+    g: SystemGraph,
+    start: str,
+    *,
+    stats: SearchStats | None = None,
+) -> set[str]:
+    """All nodes ``w`` such that some path from ``start`` to ``w`` matches the
+    compiled condition (one sweep instead of one search per candidate)."""
+    adjacency = g.adjacency
+    _require(adjacency, start)
+    visits, found = _product_bfs(nfa, adjacency, start, None)
+    if stats is not None:
+        stats.product_visits += visits
+        stats.searches += 1
+    return found
 
 
 # --- target matching --------------------------------------------------------------
+
+_SPECIAL = (AllTarget, NoneTarget, Empty)
+
 
 def match_detail(
     g: SystemGraph,
@@ -273,22 +271,19 @@ def match_detail(
 ) -> tuple[bool, tuple[str, ...] | None]:
     """Like :func:`matches` but also returns a witness word on a match when
     asked (``None`` for the special targets, ``()`` for the empty one)."""
-    g.node_type(subject)
-    g.node_type(obj)
-    if isinstance(target, PathTarget):
-        condition: Target | PathCondition = target.condition
-    else:
-        condition = target
-    if isinstance(condition, AllTarget):
-        return True, None
-    if isinstance(condition, NoneTarget):
-        return False, None
-    if isinstance(condition, Empty):
+    condition = target.condition if isinstance(target, PathTarget) else target
+    if isinstance(condition, _SPECIAL):
+        _require(g.adjacency, subject, obj)
+        if isinstance(condition, AllTarget):
+            return True, None
+        if isinstance(condition, NoneTarget):
+            return False, None
         matched = subject == obj
         return matched, () if matched and want_witness else None
     nfa = compiled if compiled is not None else compile_condition(condition)
+    # The search checks both endpoints.
     result = intersection_search(
-        nfa, GraphNfa(g, subject, obj), want_witness=want_witness, stats=stats
+        nfa, g, subject, obj, want_witness=want_witness, stats=stats
     )
     return result.nonempty, result.witness
 
@@ -309,40 +304,3 @@ def matches(
     search. ``compiled`` lets callers reuse a precompiled automaton.
     """
     return match_detail(g, subject, obj, target, compiled=compiled, stats=stats)[0]
-
-
-def reachable_accepting(
-    nfa: Nfa,
-    g: SystemGraph,
-    start: str,
-    *,
-    stats: SearchStats | None = None,
-) -> set[str]:
-    """All nodes ``w`` such that some path from ``start`` to ``w`` matches the
-    compiled condition (one sweep instead of one search per candidate)."""
-    if start not in g:
-        raise UnknownNodeError(f"unknown entity {start!r}")
-    arcs, step = nfa.arcs, g.neighbors
-    seen = {(nfa.start, start)}
-    frontier = deque(seen)
-    found: set[str] = set()
-    visits = 0
-    while frontier:
-        q, v = frontier.popleft()
-        visits += 1
-        for label, q2, dead, final in arcs[q]:
-            targets = step(v, label)
-            if final:
-                found |= targets
-            if dead:
-                continue
-            for w in targets:
-                state = (q2, w)
-                if state in seen:
-                    continue
-                seen.add(state)
-                frontier.append(state)
-    if stats is not None:
-        stats.product_visits += visits
-        stats.searches += 1
-    return found

@@ -24,10 +24,8 @@ from .policy import Decision
 
 __all__ = ["main", "Workspace"]
 
-EXIT_ALLOW = 0
-EXIT_OK = 0
-EXIT_DENY = 1
-EXIT_VIOLATIONS = 1
+EXIT_OK = 0  # allow, success
+EXIT_FAIL = 1  # deny, violations
 EXIT_ERROR = 2
 
 
@@ -53,7 +51,6 @@ class Workspace:
             caching_enabled=self.caching,
             decision_audit_enabled=self.audit,
             chinese_wall=parsed.chinese_wall,
-            sod=parsed.sod,
         )
         evaluator = Evaluator(
             graph,
@@ -84,7 +81,7 @@ def cmd_validate(ws: Workspace) -> int:
     except FileFormatError as exc:
         for message in exc.messages:
             print(message, file=sys.stderr)
-        return EXIT_VIOLATIONS
+        return EXIT_FAIL
     try:
         graph = fileformat.load_graph(ws.graph_path, model, ws.cache_capacity)
         problems = graph.validate()
@@ -106,7 +103,7 @@ def cmd_validate(ws: Workspace) -> int:
     if clean:
         print("# ok")
         return EXIT_OK
-    return EXIT_VIOLATIONS
+    return EXIT_FAIL
 
 
 def cmd_eval(ws: Workspace, subject: str, obj: str, action: str) -> int:
@@ -118,7 +115,7 @@ def cmd_eval(ws: Workspace, subject: str, obj: str, action: str) -> int:
     _print_result("", result)
     if ws.commit:
         ws.persist(evaluator)
-    return EXIT_ALLOW if result.decision is Decision.ALLOW else EXIT_DENY
+    return EXIT_OK if result.decision is Decision.ALLOW else EXIT_FAIL
 
 
 def cmd_batch(ws: Workspace, requests_path: Path) -> int:

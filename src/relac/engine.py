@@ -80,7 +80,6 @@ __all__ = [
     "DecisionSource",
     "EvalResult",
     "ChineseWallConfig",
-    "SodConfig",
     "HistoryConfig",
     "EvalStats",
     "Evaluator",
@@ -139,21 +138,10 @@ class ChineseWallConfig:
 
 
 @dataclass(frozen=True)
-class SodConfig:
-    obj: str
-    actions: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.actions)) != len(self.actions):
-            raise PolicyError("separation-of-duty actions must be distinct")
-
-
-@dataclass(frozen=True)
 class HistoryConfig:
     caching_enabled: bool = False
     decision_audit_enabled: bool = False
     chinese_wall: ChineseWallConfig | None = None
-    sod: SodConfig | None = None
 
 
 @dataclass
@@ -456,7 +444,8 @@ def build_sod_policy(
             "separation of duty requires the deny-overrides strategy"
         )
     actions = tuple(actions)
-    SodConfig(obj, actions)  # validates distinctness
+    if len(set(actions)) != len(actions):
+        raise PolicyError("separation-of-duty actions must be distinct")
     guard_rules = tuple(
         PmRule(PathTarget(Edge(allow_label(a))), NONE, _sod_principal(a))
         for a in actions

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import pathcond
-from .engine import ChineseWallConfig, SodConfig, build_chinese_wall_rules, build_sod_policy
+from .engine import ChineseWallConfig, build_chinese_wall_rules, build_sod_policy
 from .errors import FileFormatError, RelacError
 from .graph import Caching, SystemGraph, SystemModel, kind_from_label
 from .pathcond import ALL, NONE, PathTarget, Target
@@ -245,7 +245,6 @@ class ParsedPolicy:
     policy: ExtendedAuthPolicy
     defaults: DefaultTable
     chinese_wall: ChineseWallConfig | None = None
-    sod: SodConfig | None = None
     warnings: list[str] = field(default_factory=list)
 
 
@@ -431,11 +430,9 @@ def parse_policy(
     except RelacError as exc:
         raise FileFormatError([f"{source}: {exc}"], source) from exc
 
-    sod = None
     if sod_spec is not None:
         obj, actions = sod_spec
         try:
-            sod = SodConfig(obj, actions)
             pmp, policy = build_sod_policy(pmp, policy, obj, actions)
         except RelacError as exc:
             raise FileFormatError([f"{source}: {exc}"], source) from exc
@@ -451,7 +448,6 @@ def parse_policy(
         policy=policy,
         defaults=defaults,
         chinese_wall=chinese_wall,
-        sod=sod,
         warnings=col.warnings,
     )
 

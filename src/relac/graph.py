@@ -16,7 +16,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Union
+from typing import AbstractSet, Iterator, Mapping, Union
 
 from .errors import (
     DuplicateEntityError,
@@ -315,6 +315,15 @@ class SystemGraph:
         self._frozen_relations.add(relation)
 
     # -- traversal
+
+    @property
+    def adjacency(self) -> Mapping[str, Mapping[str, AbstractSet[str]]]:
+        """The adjacency index itself, node -> traversal label -> neighbors,
+        for searches that take many steps: ``adjacency[v].get(label)`` is
+        ``neighbors(v, label)`` without the call, except that an absent
+        label gives ``None``. Read-only, under the same contract as
+        :meth:`neighbors`."""
+        return self._adj
 
     def neighbors(self, node: str, label: str) -> AbstractSet[str]:
         """All nodes reachable from ``node`` over one ``label`` step, for

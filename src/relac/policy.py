@@ -134,8 +134,14 @@ class Pmp:
                     )
         if shape is PmpShape.DAG:
             self._preds, self._topo = self._check_dag()
-        self._compiled: list[tuple[Nfa | None, Nfa | None]] = [
-            (self._compile(rule.mandated), self._compile(rule.precluded))
+        # Per rule: mandated automaton, precluded automaton, and whether the
+        # precluded target is ``none`` (then there is nothing to check).
+        self._compiled: list[tuple[Nfa | None, Nfa | None, bool]] = [
+            (
+                self._compile(rule.mandated),
+                self._compile(rule.precluded),
+                isinstance(rule.precluded, NoneTarget),
+            )
             for rule in self.rules
         ]
 
@@ -189,14 +195,14 @@ class Pmp:
         trace: list[str] | None = None,
     ) -> bool:
         rule = self.rules[index]
-        m_nfa, p_nfa = self._compiled[index]
+        m_nfa, p_nfa, never_precluded = self._compiled[index]
         mandated, witness = match_detail(
             g, subject, obj, rule.mandated,
             compiled=m_nfa, stats=stats, want_witness=trace is not None,
         )
-        applicable = mandated and not matches(
+        applicable = mandated and (never_precluded or not matches(
             g, subject, obj, rule.precluded, compiled=p_nfa, stats=stats
-        )
+        ))
         if trace is not None:
             verdict = "applicable" if applicable else (
                 "precluded" if mandated else "not matched"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
+from relac.automata import Nfa
 from relac.fileformat import parse_graph, parse_model, parse_policy
 from relac.graph import SystemGraph, SystemModel
 from relac.pathcond import Concat, Edge, Empty, PathCondition, Plus, Reverse
@@ -273,3 +275,29 @@ def random_raw_condition(
         random_raw_condition(rng, labels, depth - 1),
         random_raw_condition(rng, labels, depth - 1),
     )
+
+
+# --- word acceptance ------------------------------------------------------------
+#
+# Run a word through one automaton at a time; tests use these to check the
+# witnesses that the product search returns.
+
+def nfa_accepts(nfa: Nfa, word: Iterable[str]) -> bool:
+    frontier = {nfa.start}
+    for label in word:
+        frontier = {q2 for q, q2, arc in nfa.transitions if q in frontier and arc == label}
+        if not frontier:
+            return False
+    return bool(frontier & nfa.accepting)
+
+
+def graph_accepts(g: SystemGraph, start: str, accept: str, word: Iterable[str]) -> bool:
+    """Whether some path from ``start`` to ``accept`` spells ``word``."""
+    g.node_type(start)
+    g.node_type(accept)
+    frontier = {start}
+    for label in word:
+        frontier = {w for v in frontier for w in g.neighbors(v, label)}
+        if not frontier:
+            return False
+    return accept in frontier

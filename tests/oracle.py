@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import SystemGraph
-from .pathcond import Concat, Edge, Empty, PathCondition, Plus, Reverse
+from relac.graph import SystemGraph
+from relac.pathcond import Concat, Edge, Empty, PathCondition, Plus, Reverse
 
 __all__ = ["oracle_satisfies", "satisfaction_table"]
 

@@ -12,10 +12,10 @@ import time
 import numpy as np
 
 import helpers
-from relac.automata import GraphNfa, compile_condition, intersection_search
+from relac.automata import compile_condition, intersection_search
 from relac.engine import Evaluator, HistoryConfig, Request
 from relac.graph import Caching, DecisionAudit, SystemGraph, SystemModel
-from relac.oracle import satisfaction_table
+from oracle import satisfaction_table
 from relac.pathcond import PathTarget, metrics, parse, simplify, to_text
 from relac.policy import Decision, DefaultStage, DefaultTable, match_principals
 from relac.automata import matches
@@ -245,7 +245,7 @@ def test_c10_complexity_smoke():
         visits = []
         for n in sizes:
             g = _chain(n)
-            result = intersection_search(nfa, GraphNfa(g, "v0", f"v{n - 2}"))
+            result = intersection_search(nfa, g, "v0", f"v{n - 2}")
             assert result.nonempty == ((n - 2) % 2 == 0)
             assert result.visits <= len(nfa.states) * n
             visits.append(result.visits)

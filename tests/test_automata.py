@@ -4,18 +4,16 @@ import random
 
 import pytest
 
-from helpers import random_graph, random_simple_condition
+from helpers import graph_accepts, nfa_accepts, random_graph, random_simple_condition
 from relac.automata import (
-    GraphNfa,
-    Nfa,
     SearchStats,
     compile_condition,
-    intersection_nonempty,
     intersection_search,
     match_detail,
     matches,
     reachable_accepting,
 )
+from relac.engine import Evaluator, Request
 from relac.errors import EmptyPathConditionError, NotSimpleError, UnknownNodeError
 from relac.graph import (
     INTEREST_ACTIVE,
@@ -26,8 +24,9 @@ from relac.graph import (
     SystemModel,
     allow_label,
 )
-from relac.oracle import satisfaction_table
+from oracle import satisfaction_table
 from relac.pathcond import ALL, NONE, Empty, PathTarget, metrics, parse, to_text
+from relac.policy import Pmp, PmpShape, match_principals
 
 
 # --- compilation ----------------------------------------------------------------
@@ -84,28 +83,66 @@ def test_compile_rejects_empty_and_non_simple():
 
 def test_compiled_language_probes():
     nfa = compile_condition(parse("(~r3;~r1)+;(r1;r2+)+"))
-    assert nfa.accepts(["~r3", "~r1", "r1", "r2"])
-    assert nfa.accepts(["~r3", "~r1", "~r3", "~r1", "r1", "r2", "r2"])
-    assert nfa.accepts(["~r3", "~r1", "r1", "r2", "r1", "r2"])
-    assert not nfa.accepts(["r1", "r2"])
-    assert not nfa.accepts(["~r3", "~r1"])
-    assert not nfa.accepts([])
+    assert nfa_accepts(nfa, ["~r3", "~r1", "r1", "r2"])
+    assert nfa_accepts(nfa, ["~r3", "~r1", "~r3", "~r1", "r1", "r2", "r2"])
+    assert nfa_accepts(nfa, ["~r3", "~r1", "r1", "r2", "r1", "r2"])
+    assert not nfa_accepts(nfa, ["r1", "r2"])
+    assert not nfa_accepts(nfa, ["~r3", "~r1"])
+    assert not nfa_accepts(nfa, [])
 
 
 # --- the graph as an automaton -----------------------------------------------------
 
 def test_graph_nfa_accepts_edge_word(course):
     _, g, _ = course
-    view = GraphNfa(g, "u1", "a2")
-    assert view.accepts(["is-creator-of"])
-    assert not view.accepts(["is-enrolled-on"])
-    assert GraphNfa(g, "u1", "u1").accepts([])
+    assert graph_accepts(g, "u1", "a2", ["is-creator-of"])
+    assert not graph_accepts(g, "u1", "a2", ["is-enrolled-on"])
+    assert graph_accepts(g, "u1", "u1", [])
 
 
 def test_graph_nfa_unknown_node(course):
     _, g, _ = course
+    nfa = compile_condition(parse("is-creator-of"))
     with pytest.raises(UnknownNodeError):
-        GraphNfa(g, "ghost", "a2")
+        intersection_search(nfa, g, "ghost", "a2")
+    with pytest.raises(UnknownNodeError):
+        intersection_search(nfa, g, "u1", "ghost")
+
+
+def _entries(g, parsed) -> dict:
+    """Every public entry that takes a subject and an object, as a function
+    of the two."""
+    creator = parse("is-creator-of")
+    nfa = compile_condition(creator)
+    evaluator = Evaluator(g, parsed.pmp, parsed.policy, parsed.defaults)
+    return {
+        "match_detail": lambda s, o: match_detail(g, s, o, creator),
+        "matches": lambda s, o: matches(g, s, o, creator),
+        "matches-all": lambda s, o: matches(g, s, o, ALL),
+        "matches-none": lambda s, o: matches(g, s, o, NONE),
+        "matches-empty": lambda s, o: matches(g, s, o, PathTarget(Empty())),
+        "intersection_search": lambda s, o: intersection_search(nfa, g, s, o),
+        # A sweep has no object: only its start can be unknown.
+        "reachable_accepting": lambda s, o: reachable_accepting(nfa, g, "ghost"),
+        "match_principals": lambda s, o: match_principals(g, parsed.pmp, s, o),
+        "match_principals-no-rules": lambda s, o: match_principals(
+            g, Pmp(PmpShape.SET, []), s, o
+        ),
+        "evaluate": lambda s, o: evaluator.evaluate(Request(s, o, "read")),
+    }
+
+
+@pytest.mark.parametrize("side", ["subject", "object"])
+@pytest.mark.parametrize("entry", [
+    "match_detail", "matches", "matches-all", "matches-none", "matches-empty",
+    "intersection_search", "reachable_accepting", "match_principals",
+    "match_principals-no-rules", "evaluate",
+])
+def test_unknown_node_raises_from_every_entry(course, entry, side):
+    _, g, parsed = course
+    s, o = ("ghost", "a2") if side == "subject" else ("u1", "ghost")
+    with pytest.raises(UnknownNodeError):
+        _entries(g, parsed)[entry](s, o)
 
 
 # --- intersection ---------------------------------------------------------------
@@ -113,25 +150,33 @@ def test_graph_nfa_unknown_node(course):
 def test_intersection_examples(course):
     _, g, _ = course
     creator = compile_condition(parse("is-creator-of"))
-    assert not intersection_nonempty(creator, GraphNfa(g, "u1", "a1"))
-    assert intersection_nonempty(creator, GraphNfa(g, "u1", "a2"))
+    assert not intersection_search(creator, g, "u1", "a1").nonempty
+    assert intersection_search(creator, g, "u1", "a2").nonempty
 
 
 def test_intersection_unreachable_accepting_state():
-    m1 = compile_condition(parse("r"))
-    stranded = Nfa(
-        states=frozenset({0, 1, 2}),
-        transitions=((0, 1, "r"),),
-        start=0,
-        accepting=frozenset({2}),
+    # The object exists but no path leads to it: the search runs out.
+    model = SystemModel(
+        types=frozenset({"t"}),
+        relations=frozenset({"r"}),
+        permissible=frozenset({("t", "t", "r")}),
     )
-    assert not intersection_nonempty(m1, stranded)
+    g = SystemGraph(model)
+    for v in ("a", "b", "stranded"):
+        g.add_entity(v, "t")
+    g.add_relationship("a", "b", "r")
+    g.add_relationship("b", "a", "r")
+    g.add_relationship("stranded", "a", "r")
+    nfa = compile_condition(parse("r+"))
+    result = intersection_search(nfa, g, "a", "stranded", want_witness=True)
+    assert result == (False, 3, None)
+    assert reachable_accepting(nfa, g, "a") == {"a", "b"}
 
 
 def test_intersection_witness_and_visit_bound(course):
     _, g, _ = course
     pc = compile_condition(parse("is-ta-for;~is-coursework-for"))
-    result = intersection_search(pc, GraphNfa(g, "u1", "a3"), want_witness=True)
+    result = intersection_search(pc, g, "u1", "a3", want_witness=True)
     assert result.nonempty
     assert result.witness == ("is-ta-for", "~is-coursework-for")
     assert result.visits <= len(pc.states) * len(g)
@@ -145,7 +190,7 @@ def test_intersection_visit_bound_random():
         nfa = compile_condition(p)
         nodes = sorted(g.nodes())
         s, o = rng.choice(nodes), rng.choice(nodes)
-        result = intersection_search(nfa, GraphNfa(g, s, o))
+        result = intersection_search(nfa, g, s, o)
         assert result.visits <= len(nfa.states) * len(g)
 
 
@@ -175,8 +220,8 @@ def test_dead_final_state_is_never_expanded():
 
     def visits(k: int) -> tuple[int, ...]:
         g = _star(k)
-        hit = intersection_search(nfa, GraphNfa(g, "u", f"d{k - 1}"))
-        miss = intersection_search(nfa, GraphNfa(g, "u", "loose"))
+        hit = intersection_search(nfa, g, "u", f"d{k - 1}")
+        miss = intersection_search(nfa, g, "u", "loose")
         assert hit.nonempty and not miss.nonempty
         for result in (hit, miss):
             assert result.visits <= live * len(g) + 1
@@ -191,8 +236,8 @@ def test_search_stats_accumulate(course):
     _, g, _ = course
     stats = SearchStats()
     pc = compile_condition(parse("is-creator-of"))
-    intersection_nonempty(pc, GraphNfa(g, "u1", "a2"), stats=stats)
-    intersection_nonempty(pc, GraphNfa(g, "u1", "a1"), stats=stats)
+    intersection_search(pc, g, "u1", "a2", stats=stats)
+    intersection_search(pc, g, "u1", "a1", stats=stats)
     assert stats.searches == 2
     assert stats.product_visits > 0
 
@@ -255,8 +300,8 @@ def test_matches_agrees_with_oracle_random():
                     assert got == bool(table[i, j]), (to_text(p), u, v)
                     assert matches(g, u, v, PathTarget(p), compiled=nfa) == got
                     if got:
-                        assert nfa.accepts(witness), (to_text(p), u, v, witness)
-                        assert GraphNfa(g, u, v).accepts(witness), (to_text(p), u, v, witness)
+                        assert nfa_accepts(nfa, witness), (to_text(p), u, v, witness)
+                        assert graph_accepts(g, u, v, witness), (to_text(p), u, v, witness)
                 reached = reachable_accepting(nfa, g, u)
                 assert reached == {v for j, v in enumerate(nodes) if table[i, j]}, to_text(p)
 

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import helpers
@@ -204,3 +209,15 @@ def test_warm_reports_bad_pairs(course_files, tmp_path, capsys):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("u1 ghost\n")
     assert main(["warm", *common(course_files), str(pairs)]) == 2
+
+
+def test_import_does_not_load_numpy():
+    # numpy is a test-only dependency: the package must import without it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import relac, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=60,
+    )

@@ -196,6 +196,17 @@ def test_policy_sod_requires_deny_overrides():
     assert "deny-overrides" in str(err.value)
 
 
+def test_policy_sod_rejects_repeated_actions():
+    model = parse_model(helpers.SOD_MODEL)
+    with pytest.raises(FileFormatError) as err:
+        parse_policy(
+            "rule p : r ! none\nauth p o * allow\ncrs deny-overrides\n"
+            "default system deny\nsod o a1 a2 a1\n",
+            model,
+        )
+    assert "distinct" in str(err.value)
+
+
 def test_policy_chinese_wall_requires_all_parts(course):
     model, _, _ = course
     with pytest.raises(FileFormatError) as err:

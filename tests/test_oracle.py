@@ -5,7 +5,7 @@ import pytest
 
 from relac.errors import UnknownNodeError
 from relac.graph import SystemGraph, SystemModel
-from relac.oracle import oracle_satisfies, satisfaction_table
+from oracle import oracle_satisfies, satisfaction_table
 from relac.pathcond import parse
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import random_graph, random_raw_condition
 from relac.errors import EmptyInputError, NotSimpleError, PathSyntaxError
-from relac.oracle import satisfaction_table
+from oracle import satisfaction_table
 from relac.pathcond import (
     Concat,
     Edge,
