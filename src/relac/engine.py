@@ -40,12 +40,13 @@ from .errors import (
     UnknownActionError,
 )
 from .graph import (
+    ACTIVE_INTEREST,
+    BLOCKED_INTEREST,
     INTEREST_BLOCKED,
     Caching,
-    DecisionAudit,
-    InterestAudit,
     SystemGraph,
     allow_label,
+    decision_audit,
     reverse_label,
 )
 from .pathcond import (
@@ -362,7 +363,6 @@ class Evaluator:
     ) -> None:
         cfg = self.config
         g = self.graph
-        wrote_cw = False
         with g.write_lock():
             # The cache entry is stamped with ``epoch``, read before
             # matching: a write that landed while matching ran, or a
@@ -373,14 +373,17 @@ class Evaluator:
                 if lines is not None:
                     lines.append("cache write")
             invalidate = False
+            added: list[str] = []
             if cfg.chinese_wall is not None and decision is Decision.ALLOW:
                 added = interest_writeback(
                     g, s, o, action, cfg.chinese_wall, object_nfas=self._cw_object_nfas
                 )
-                wrote_cw = bool(added)
-                invalidate |= any(label in self._pmp_labels for label in added)
-            if cfg.decision_audit_enabled or wrote_cw:
-                kind = DecisionAudit(action, decision is Decision.ALLOW)
+                invalidate = any(label in self._pmp_labels for label in added)
+            # interest_writeback audits the allow itself whenever it adds
+            # anything; when it adds nothing the audit edge is either
+            # already there or still to be written here.
+            if cfg.decision_audit_enabled and not added:
+                kind = decision_audit(action, decision is Decision.ALLOW)
                 if g.record_typed_edge(s, o, kind):
                     invalidate |= kind.label in self._pmp_labels
                     if lines is not None:
@@ -504,31 +507,34 @@ def interest_writeback(
     object_nfas: Sequence[Nfa] | None = None,
 ) -> list[str]:
     """After an allow on a conflict-governed object, record the subject's
-    active interest in the object's companies, block every other company in
-    the same conflict class and audit the allow. All writes are idempotent.
-    Returns the labels of edges actually added (for cache invalidation)."""
+    active interest in the object's companies, block every rival company
+    (each company's conflict-class partners, so a company is blocked too
+    when the object also belongs to one of its rivals) and audit the allow.
+    Each kind is written with one bulk call under the graph's write lock;
+    all writes are idempotent. Returns the label of each kind of edge
+    actually added, once, for cache invalidation."""
     if object_nfas is None:
         object_nfas = [compile_condition(p) for p in cw.object_paths]
     companies: set[str] = set()
     for nfa in object_nfas:
         companies |= reachable_accepting(nfa, g, obj)
+    if not companies:
+        return []
+    member = cw.membership_relation
+    members_of = reverse_label(member)
     added: list[str] = []
     with g.write_lock():
-        for company in sorted(companies):
-            kind = InterestAudit(blocked=False)
-            if g.record_typed_edge(subject, company, kind):
-                added.append(kind.label)
-            for coic in g.neighbors(company, cw.membership_relation):
-                for rival in g.neighbors(coic, reverse_label(cw.membership_relation)):
-                    if rival == company:
-                        continue
-                    blocked = InterestAudit(blocked=True)
-                    if g.record_typed_edge(subject, rival, blocked):
-                        added.append(blocked.label)
-        if companies:
-            audit = DecisionAudit(action, allowed=True)
-            if g.record_typed_edge(subject, obj, audit):
-                added.append(audit.label)
+        blocked: set[str] = set()
+        for company in companies:
+            for coic in g.neighbors(company, member):
+                blocked |= g.neighbors(coic, members_of) - {company}
+        if g.record_typed_edges(subject, companies, ACTIVE_INTEREST):
+            added.append(ACTIVE_INTEREST.label)
+        if g.record_typed_edges(subject, blocked, BLOCKED_INTEREST):
+            added.append(BLOCKED_INTEREST.label)
+        audit = decision_audit(action, True)
+        if g.record_typed_edge(subject, obj, audit):
+            added.append(audit.label)
     return added
 
 

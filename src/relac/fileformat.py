@@ -200,22 +200,31 @@ def load_graph(
 
 
 def serialize_graph(g: SystemGraph) -> str:
-    """Deterministic round-trippable dump, history edges included."""
-    lines = []
-    for node in sorted(g.nodes()):
-        lines.append(f"entity {node} {g.node_type(node)}")
-    for frm, to, label in sorted(g.relationship_edges()):
-        lines.append(f"edge {frm} {to} {label}")
-    system, caches = [], []
-    for frm, to, kind in g.typed_edges():
-        if isinstance(kind, Caching):
-            plist = ",".join(sorted(kind.principals)) or "-"
-            caches.append(f"cache {frm} {to} {kind.epoch} {plist}")
-        else:
-            system.append(f"edge {frm} {to} {kind.label}")
-    lines.extend(sorted(system))
+    """Deterministic round-trippable dump, history edges included: entities
+    by id, relationship edges by (from, to, label), then history edge lines,
+    the epoch and cache lines, each sorted as text. One pass over the
+    adjacency index collects every edge."""
+    symmetric = g.model.symmetric
+    relationships: list[tuple[str, str, str]] = []
+    history: list[str] = []
+    for v, by_label in g.adjacency.items():
+        for label, targets in by_label.items():
+            if label[0] == "~":
+                continue
+            if label[0] == "@":
+                history += [f"edge {v} {w} {label}" for w in targets]
+            elif label in symmetric:
+                relationships += [(v, w, label) for w in targets if v <= w]
+            else:
+                relationships += [(v, w, label) for w in targets]
+    lines = [f"entity {node} {g.node_type(node)}" for node in sorted(g.nodes())]
+    lines += [f"edge {frm} {to} {label}" for frm, to, label in sorted(relationships)]
+    lines += sorted(history)
     lines.append(f"epoch {g.epoch}")
-    lines.extend(sorted(caches))
+    lines += sorted(
+        f"cache {s} {o} {epoch} {','.join(sorted(principals)) or '-'}"
+        for (s, o), (principals, epoch) in g.cache_entries()
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,8 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Mapping, Union
+from functools import cached_property, lru_cache
+from typing import AbstractSet, ItemsView, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     DuplicateEntityError,
@@ -137,7 +138,7 @@ class DecisionAudit:
     action: str
     allowed: bool
 
-    @property
+    @cached_property
     def label(self) -> str:
         return allow_label(self.action) if self.allowed else deny_label(self.action)
 
@@ -146,24 +147,34 @@ class DecisionAudit:
 class InterestAudit:
     blocked: bool
 
-    @property
+    @cached_property
     def label(self) -> str:
         return INTEREST_BLOCKED if self.blocked else INTEREST_ACTIVE
 
 
 EdgeKind = Union[Relationship, Caching, DecisionAudit, InterestAudit]
 
+ACTIVE_INTEREST = InterestAudit(blocked=False)
+BLOCKED_INTEREST = InterestAudit(blocked=True)
+
+
+@lru_cache(maxsize=256)
+def decision_audit(action: str, allowed: bool) -> DecisionAudit:
+    """The shared audit kind for (action, outcome); kinds are immutable, so
+    the writeback path reuses one object, and its label, per pair."""
+    return DecisionAudit(action, allowed)
+
 
 def kind_from_label(label: str) -> DecisionAudit | InterestAudit:
     """Inverse of the reserved-namespace labels used in graph files."""
     if label == INTEREST_ACTIVE:
-        return InterestAudit(blocked=False)
+        return ACTIVE_INTEREST
     if label == INTEREST_BLOCKED:
-        return InterestAudit(blocked=True)
+        return BLOCKED_INTEREST
     if label.startswith("@allow:"):
-        return DecisionAudit(label[len("@allow:"):], allowed=True)
+        return decision_audit(label[len("@allow:"):], True)
     if label.startswith("@deny:"):
-        return DecisionAudit(label[len("@deny:"):], allowed=False)
+        return decision_audit(label[len("@deny:"):], False)
     raise UnknownRelationError(f"not a reserved system label: {label!r}")
 
 
@@ -229,7 +240,8 @@ class SystemGraph:
                 raise UnknownTypeError(f"unknown type {type_name!r}")
             if node in self._types:
                 raise DuplicateEntityError(f"entity {node!r} already present")
-            if not node or any(ch.isspace() for ch in node) or node.startswith(("@", "#", "~")):
+            # ``split`` breaks on exactly the characters ``isspace`` accepts.
+            if node.split() != [node] or node.startswith(("@", "#", "~")):
                 raise ModelError(f"invalid entity id {node!r}")
             self._types[node] = type_name
             self._adj[node] = {}
@@ -278,27 +290,60 @@ class SystemGraph:
         deduplicated, caching edges replace the pair's previous entry. Does
         not advance the epoch. Returns True when the graph changed."""
         with self._lock:
-            self._require(from_node)
-            self._require(to_node)
+            adj = self._adj
+            if from_node not in adj or to_node not in adj:
+                self._require(from_node)
+                self._require(to_node)
+            if isinstance(kind, Caching):
+                key = (from_node, to_node)
+                cache = self._cache
+                epoch = self._epoch if kind.epoch is None else kind.epoch
+                cache[key] = (frozenset(kind.principals), epoch)
+                cache.move_to_end(key)
+                if self.cache_capacity is not None:
+                    while len(cache) > self.cache_capacity:
+                        cache.popitem(last=False)
+                return True
             if isinstance(kind, Relationship):
                 raise ValueError("use add_relationship for relationship edges")
-            if isinstance(kind, Caching):
-                epoch = self._epoch if kind.epoch is None else kind.epoch
-                self._cache[(from_node, to_node)] = (frozenset(kind.principals), epoch)
-                self._cache.move_to_end((from_node, to_node))
-                if self.cache_capacity is not None:
-                    while len(self._cache) > self.cache_capacity:
-                        self._cache.popitem(last=False)
-                return True
             label = kind.label
-            targets = _bucket(self._adj[from_node], label)
+            targets = _bucket(adj[from_node], label)
             if to_node in targets:
                 return False
             targets.add(to_node)
-            _bucket(self._adj[to_node], "~" + label).add(from_node)
+            _bucket(adj[to_node], "~" + label).add(from_node)
             if isinstance(kind, InterestAudit):
                 self._interest_edges += 1
             return True
+
+    def record_typed_edges(
+        self, from_node: str, to_nodes: Iterable[str], kind: DecisionAudit | InterestAudit
+    ) -> int:
+        """Add the audit or interest edges ``from_node -> w`` for each ``w``
+        in ``to_nodes`` that the graph lacks, in both directions, under one
+        lock. Every endpoint is checked before anything changes, so an
+        unknown node raises and leaves the graph as it was. Does not advance
+        the epoch. Returns the number of edges added."""
+        if not isinstance(kind, (DecisionAudit, InterestAudit)):
+            raise ValueError("bulk writes take audit and interest kinds only")
+        with self._lock:
+            adj = self._adj
+            wanted = set(to_nodes)
+            if from_node not in adj or not adj.keys() >= wanted:
+                self._require(from_node)
+                for node in wanted:
+                    self._require(node)
+            label = kind.label
+            new = wanted - adj[from_node].get(label, _NO_NEIGHBORS)
+            if not new:
+                return 0
+            _bucket(adj[from_node], label).update(new)
+            reverse = "~" + label
+            for node in new:
+                _bucket(adj[node], reverse).add(from_node)
+            if isinstance(kind, InterestAudit):
+                self._interest_edges += len(new)
+            return len(new)
 
     def invalidate_caches(self) -> None:
         """Advance the epoch so every caching edge becomes stale. Called by
@@ -354,6 +399,12 @@ class SystemGraph:
     def cache_size(self) -> int:
         return len(self._cache)
 
+    def cache_entries(self) -> ItemsView[tuple[str, str], tuple[frozenset[str], int]]:
+        """Caching edges as ``(subject, object) -> (principals, epoch)``,
+        oldest first; a read-only view under the same contract as
+        :meth:`neighbors`."""
+        return self._cache.items()
+
     # -- enumeration / validation
 
     def relationship_edges(self) -> Iterator[tuple[str, str, str]]:
@@ -377,7 +428,7 @@ class SystemGraph:
                 kind = kind_from_label(label)
                 for w in targets:
                     yield v, w, kind
-        for (s, o), (principals, epoch) in self._cache.items():
+        for (s, o), (principals, epoch) in self.cache_entries():
             yield s, o, Caching(principals, epoch)
 
     def validate(self) -> list[str]:

@@ -5,9 +5,17 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from relac.automata import Nfa
+from relac.automata import Nfa, compile_condition, reachable_accepting
+from relac.engine import ChineseWallConfig
 from relac.fileformat import parse_graph, parse_model, parse_policy
-from relac.graph import SystemGraph, SystemModel
+from relac.graph import (
+    Caching,
+    DecisionAudit,
+    InterestAudit,
+    SystemGraph,
+    SystemModel,
+    reverse_label,
+)
 from relac.pathcond import Concat, Edge, Empty, PathCondition, Plus, Reverse
 
 # --- the higher-education course example ------------------------------------
@@ -208,6 +216,28 @@ def wall_example():
     return model, graph, parsed
 
 
+def random_wall_example(rng: random.Random):
+    """A random instance of the wall model: a few firms serving random
+    companies, companies in random conflict classes (some in none), files
+    of one to three companies (so some belong to two rivals) and users
+    working at random firms. Returns (model, graph, parsed policy)."""
+    model = parse_model(WALL_MODEL)
+    firms = [f"e{i}" for i in range(rng.randint(1, 3))]
+    companies = [f"c{i}" for i in range(rng.randint(2, 8))]
+    classes = [f"i{i}" for i in range(rng.randint(1, 3))]
+    files = [f"f{i}" for i in range(rng.randint(2, 10))]
+    users = [f"u{i}" for i in range(rng.randint(1, 4))]
+    lines = [f"entity {v} {t}" for group, t in (
+        (users, "user"), (firms, "firm"), (companies, "company"),
+        (files, "file"), (classes, "coic")) for v in group]
+    lines += [f"edge {u} {rng.choice(firms)} w" for u in users]
+    lines += [f"edge {e} {c} s" for e in firms for c in companies if rng.random() < 0.6]
+    lines += [f"edge {c} {rng.choice(classes)} m" for c in companies if rng.random() < 0.85]
+    lines += [f"edge {f} {c} d" for f in files
+              for c in rng.sample(companies, rng.randint(1, min(3, len(companies))))]
+    return model, parse_graph("\n".join(lines), model), parse_policy(WALL_POLICY, model)
+
+
 # --- random instances ---------------------------------------------------------
 
 def random_graph(
@@ -301,3 +331,48 @@ def graph_accepts(g: SystemGraph, start: str, accept: str, word: Iterable[str]) 
         if not frontier:
             return False
     return accept in frontier
+
+
+# --- reference writers ------------------------------------------------------------
+#
+# Edge-at-a-time versions of the bulk history writes and the one-pass graph
+# dump; tests require the library's results to equal theirs.
+
+def reference_interest_writeback(
+    g: SystemGraph, subject: str, obj: str, action: str, cw: ChineseWallConfig
+) -> None:
+    """One ``record_typed_edge`` call per edge: active interest in each of
+    the object's companies, blocked interest in each of their conflict-class
+    partners, then the allow audit."""
+    companies: set[str] = set()
+    for path in cw.object_paths:
+        companies |= reachable_accepting(compile_condition(path), g, obj)
+    for company in sorted(companies):
+        g.record_typed_edge(subject, company, InterestAudit(blocked=False))
+        for coic in g.neighbors(company, cw.membership_relation):
+            for rival in g.neighbors(coic, reverse_label(cw.membership_relation)):
+                if rival != company:
+                    g.record_typed_edge(subject, rival, InterestAudit(blocked=True))
+    if companies:
+        g.record_typed_edge(subject, obj, DecisionAudit(action, allowed=True))
+
+
+def reference_serialize_graph(g: SystemGraph) -> str:
+    """The graph dump built from the enumeration API, one kind object per
+    history edge."""
+    lines = []
+    for node in sorted(g.nodes()):
+        lines.append(f"entity {node} {g.node_type(node)}")
+    for frm, to, label in sorted(g.relationship_edges()):
+        lines.append(f"edge {frm} {to} {label}")
+    system, caches = [], []
+    for frm, to, kind in g.typed_edges():
+        if isinstance(kind, Caching):
+            plist = ",".join(sorted(kind.principals)) or "-"
+            caches.append(f"cache {frm} {to} {kind.epoch} {plist}")
+        else:
+            system.append(f"edge {frm} {to} {kind.label}")
+    lines.extend(sorted(system))
+    lines.append(f"epoch {g.epoch}")
+    lines.extend(sorted(caches))
+    return "\n".join(lines) + "\n"

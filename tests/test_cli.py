@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -221,3 +222,27 @@ def test_import_does_not_load_numpy():
         check=True,
         timeout=60,
     )
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cw_sod"
+
+
+def test_batch_commit_golden_wall_and_sod_workspace(tmp_path, capsys):
+    """``batch --commit`` on a small Chinese Wall plus separation-of-duty
+    workspace (two files each belong to two companies, rivals in one case)
+    reproduces the recorded decisions and committed graph file. Only the
+    summary's product-visits count is left out: it depends on set
+    iteration order."""
+    paths = {}
+    for name in ("model", "graph", "policy", "requests"):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        Path(paths[name]).write_text((GOLDEN / f"{name}.txt").read_text())
+    code = main(["batch", *common(paths), "--commit", paths["requests"]])
+    assert code == 0
+
+    def visits_dropped(text: str) -> list[str]:
+        return [re.sub(r" product-visits=\d+$", "", line) for line in text.splitlines()]
+
+    expected = (GOLDEN / "expected-out.txt").read_text()
+    assert visits_dropped(capsys.readouterr().out) == visits_dropped(expected)
+    assert Path(paths["graph"]).read_bytes() == (GOLDEN / "expected-graph.txt").read_bytes()

@@ -24,6 +24,7 @@ from relac.errors import (
     UnknownActionError,
     UnknownNodeError,
 )
+from relac.fileformat import parse_graph, serialize_graph
 from relac.graph import Caching, DecisionAudit
 from relac.pathcond import ALL, NONE, PathTarget, parse
 from relac.policy import (
@@ -560,3 +561,54 @@ def test_concurrent_readonly_evaluations(course):
     for t in threads:
         t.join()
     assert errors == []
+
+
+def test_interest_writeback_returns_each_label_once(wall):
+    _, g, parsed = wall
+    # f2 now belongs to both companies of class i1, so each of them gets
+    # an active and a blocked edge; each label comes back once
+    g.add_relationship("f2", "c1", "d")
+    added = interest_writeback(g, "u1", "f2", "read", parsed.chinese_wall)
+    assert sorted(added) == ["@allow:read", "@interest:active", "@interest:blocked"]
+    edges = {(s, o, k.label) for s, o, k in g.typed_edges()}
+    assert edges == {
+        ("u1", "c1", "@interest:active"), ("u1", "c2", "@interest:active"),
+        ("u1", "c1", "@interest:blocked"), ("u1", "c2", "@interest:blocked"),
+        ("u1", "f2", "@allow:read"),
+    }
+
+
+@pytest.mark.parametrize("audit", [True, False])
+def test_bulk_history_writes_match_edge_at_a_time_reference(audit):
+    """Replay random requests on random wall graphs; after every request the
+    engine's history edges equal those of the edge-at-a-time reference
+    writer fed the same decisions, and so do the decisions themselves."""
+    rng = random.Random(5 + audit)
+    shared_rivals = 0
+    for _ in range(40):
+        model, g, parsed = helpers.random_wall_example(rng)
+        cw = parsed.chinese_wall
+        ref = parse_graph(serialize_graph(g), model)
+        ev = Evaluator(
+            g, parsed.pmp, parsed.policy, parsed.defaults,
+            history(caching_enabled=True, decision_audit_enabled=audit, chinese_wall=cw),
+        )
+        plain = Evaluator(ref, parsed.pmp, parsed.policy, parsed.defaults)
+        users = [v for v in g.nodes() if g.node_type(v) == "user"]
+        files = [v for v in g.nodes() if g.node_type(v) == "file"]
+        for f in files:
+            classes = [g.neighbors(c, "m") for c in g.neighbors(f, "d")]
+            shared_rivals += any(a & b for i, a in enumerate(classes) for b in classes[i + 1:])
+        for _ in range(12):
+            s, o = rng.choice(users), rng.choice(files)
+            result = ev.evaluate(Request(s, o, "read"))
+            assert plain.evaluate(Request(s, o, "read")).decision is result.decision
+            if result.decision is ALLOW:
+                helpers.reference_interest_writeback(ref, s, o, "read", cw)
+            if audit:
+                ref.record_typed_edge(s, o, DecisionAudit("read", result.decision is ALLOW))
+            history_edges = {
+                (v, w, k) for v, w, k in g.typed_edges() if not isinstance(k, Caching)
+            }
+            assert history_edges == set(ref.typed_edges())
+    assert shared_rivals  # some object belonged to two companies of one class

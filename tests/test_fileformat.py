@@ -78,6 +78,31 @@ def test_graph_serialization_round_trip(course):
     assert serialize_graph(g2) == text
 
 
+def test_serialize_graph_matches_reference_on_random_graphs():
+    rng = random.Random(8)
+    for _ in range(60):
+        g = random_graph(rng, symmetric_count=rng.randint(0, 2))
+        # ids that sort differently as text lines than as tuples
+        for node in ("v1\x01", "v1-", "v10\x02x"):
+            g.add_entity(node, "t")
+        nodes = list(g.nodes())
+        for _ in range(rng.randint(0, 8)):
+            g.add_relationship(rng.choice(nodes), rng.choice(nodes), rng.choice(sorted(g.model.relations)))
+        kinds = [DecisionAudit("read", True), DecisionAudit("read", False),
+                 InterestAudit(False), InterestAudit(True)]
+        for _ in range(rng.randint(0, 12)):
+            g.record_typed_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(kinds))
+        for _ in range(rng.randint(0, 5)):
+            principals = frozenset(rng.sample(["p", "q", "r"], rng.randint(0, 2)))
+            epoch = rng.choice([None, rng.randint(0, g.epoch)])
+            g.record_typed_edge(rng.choice(nodes), rng.choice(nodes), Caching(principals, epoch))
+        # empty buckets, which no public write leaves behind
+        g._adj[rng.choice(nodes)].setdefault("@allow:write", set())
+        g._adj[rng.choice(nodes)].setdefault("@interest:active", set())
+        g._adj[rng.choice(nodes)].setdefault("r0", set())
+        assert serialize_graph(g) == helpers.reference_serialize_graph(g)
+
+
 def test_save_load_save_is_byte_identical(tmp_path):
     rng = random.Random(5)
     for round_ in range(10):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -73,6 +74,23 @@ def test_add_entity_and_errors():
         g.add_entity("x", "robot")
     with pytest.raises(DuplicateEntityError):
         g.add_entity("u1", "user")
+
+
+def test_add_entity_rejects_exactly_the_ids_with_whitespace():
+    g = SystemGraph(simple_model())
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert {"\t", "\n", "\u3000"} <= set(spaces)
+    for ch in spaces:
+        for node in (ch, f"a{ch}b", f"{ch}a", f"a{ch}"):
+            with pytest.raises(ModelError):
+                g.add_entity(node, "user")
+    for node in ("", "@u", "#u", "~u"):
+        with pytest.raises(ModelError):
+            g.add_entity(node, "user")
+    # characters next to the whitespace ranges are ordinary id characters
+    for node in ("a\x08b", "a\x0eb", "a\u200bb", "a\u3001b"):
+        g.add_entity(node, "user")
+    assert len(g) == 4
 
 
 def test_add_relationship_and_schema_check():
@@ -191,6 +209,54 @@ def test_record_typed_edge_dedup_and_errors():
         g.record_typed_edge("u1", "ghost", kind)
 
 
+def typed_edge_set(g: SystemGraph):
+    return {(v, w, k) for v, w, k in g.typed_edges()}
+
+
+def test_record_typed_edges_adds_missing_edges_both_ways():
+    g = SystemGraph(simple_model())
+    for v in ("u1", "d1", "d2", "d3"):
+        g.add_entity(v, "user" if v.startswith("u") else "doc")
+    blocked = InterestAudit(blocked=True)
+    epoch = g.epoch
+    assert g.record_typed_edge("u1", "d1", blocked) is True
+    assert g.record_typed_edges("u1", ["d1", "d2", "d2", "d3"], blocked) == 2
+    assert g.record_typed_edges("u1", {"d1", "d3"}, blocked) == 0
+    assert g.record_typed_edges("u1", [], DecisionAudit("read", allowed=False)) == 0
+    assert g.neighbors("u1", "@interest:blocked") == {"d1", "d2", "d3"}
+    for d in ("d1", "d2", "d3"):
+        assert g.neighbors(d, "~@interest:blocked") == {"u1"}
+    assert g.epoch == epoch
+    # the same graph built edge at a time
+    ref = SystemGraph(simple_model())
+    for v in ("u1", "d1", "d2", "d3"):
+        ref.add_entity(v, "user" if v.startswith("u") else "doc")
+    for d in ("d1", "d2", "d3"):
+        ref.record_typed_edge("u1", d, InterestAudit(blocked=True))
+    assert typed_edge_set(g) == typed_edge_set(ref)
+    assert g._interest_edges == ref._interest_edges == 3
+    assert g.adjacency == ref.adjacency
+
+
+def test_record_typed_edges_unknown_target_changes_nothing():
+    g = SystemGraph(simple_model())
+    for v in ("u1", "d1", "d2"):
+        g.add_entity(v, "user" if v.startswith("u") else "doc")
+    g.record_typed_edge("u1", "d1", DecisionAudit("read", allowed=True))
+    before = {v: {k: set(ws) for k, ws in by.items()} for v, by in g.adjacency.items()}
+    kind = InterestAudit(blocked=False)
+    with pytest.raises(UnknownNodeError):
+        g.record_typed_edges("u1", ["d1", "d2", "ghost"], kind)
+    with pytest.raises(UnknownNodeError):
+        g.record_typed_edges("ghost", ["d1"], kind)
+    with pytest.raises(ValueError):
+        g.record_typed_edges("u1", ["d1"], Relationship("owns"))
+    with pytest.raises(ValueError):
+        g.record_typed_edges("u1", ["d1"], Caching(frozenset()))
+    assert g.adjacency == before
+    assert g._interest_edges == 0
+
+
 def test_typed_edges_do_not_bump_epoch_or_leak_into_relationship_queries():
     g = SystemGraph(simple_model())
     g.add_entity("u1", "user")
@@ -258,6 +324,19 @@ def test_frozen_relation_after_interest_edges():
     g.freeze_relation("knows")
     g.add_relationship("u1", "u2", "knows")  # still fine: no interest edges yet
     g.record_typed_edge("u1", "d1", InterestAudit(blocked=False))
+    with pytest.raises(FrozenRelationError):
+        g.add_relationship("u2", "u1", "knows")
+
+
+def test_frozen_relation_after_first_bulk_interest_write():
+    g = SystemGraph(simple_model())
+    for v in ("u1", "u2", "d1"):
+        g.add_entity(v, "user" if v.startswith("u") else "doc")
+    g.freeze_relation("knows")
+    assert g.record_typed_edges("u1", [], InterestAudit(blocked=True)) == 0
+    assert g.record_typed_edges("u1", ["d1"], DecisionAudit("read", allowed=True)) == 1
+    g.add_relationship("u1", "u2", "knows")  # no interest edges yet
+    assert g.record_typed_edges("u1", ["d1", "u2"], InterestAudit(blocked=True)) == 2
     with pytest.raises(FrozenRelationError):
         g.add_relationship("u2", "u1", "knows")
 
