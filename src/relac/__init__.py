@@ -37,7 +37,6 @@ from .engine import (
     Request,
     build_chinese_wall_rules,
     build_sod_policy,
-    evaluate,
     warm_cache,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "Evaluator",
     "HistoryConfig",
     "ChineseWallConfig",
-    "evaluate",
     "build_sod_policy",
     "build_chinese_wall_rules",
     "warm_cache",

@@ -40,7 +40,6 @@ class Workspace:
     audit: bool = True
     trace: bool = False
     commit: bool = False
-    target_filter: bool = False
     cache_capacity: int | None = None
 
     def load(self) -> tuple[Evaluator, list[str]]:
@@ -52,14 +51,7 @@ class Workspace:
             decision_audit_enabled=self.audit,
             chinese_wall=parsed.chinese_wall,
         )
-        evaluator = Evaluator(
-            graph,
-            parsed.pmp,
-            parsed.policy,
-            parsed.defaults,
-            config,
-            target_filter=self.target_filter,
-        )
+        evaluator = Evaluator(graph, parsed.pmp, parsed.policy, parsed.defaults, config)
         return evaluator, parsed.warnings
 
     def persist(self, evaluator: Evaluator) -> None:
@@ -176,6 +168,16 @@ def cmd_warm(ws: Workspace, pairs_path: Path) -> int:
     return EXIT_ERROR if errors else EXIT_OK
 
 
+def _cache_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", required=True, type=Path, help="model (schema) file")
@@ -185,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--commit", action="store_true", help="persist history writeback to the graph file")
     common.add_argument("--no-cache", action="store_true", help="disable caching edges")
     common.add_argument("--no-audit", action="store_true", help="disable decision audit edges")
-    common.add_argument("--target-opt", action="store_true", help="enable target-based rule scheduling")
-    common.add_argument("--cache-cap", type=int, default=None, metavar="N", help="max caching edges (FIFO eviction)")
+    common.add_argument("--target-opt", action="store_true", help="no effect")
+    common.add_argument("--cache-cap", type=_cache_cap, default=None, metavar="N", help="max caching edges (FIFO eviction)")
 
     parser = argparse.ArgumentParser(
         prog="relac", description="relationship-based access control engine"
@@ -219,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
         audit=not args.no_audit,
         trace=args.trace,
         commit=args.commit,
-        target_filter=args.target_opt,
         cache_capacity=args.cache_cap,
     )
     try:

@@ -72,7 +72,6 @@ from .policy import (
     PmpShape,
     collect_decisions,
     match_principals,
-    relevant_principals,
     resolve_conflicts,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "HistoryConfig",
     "EvalStats",
     "Evaluator",
-    "evaluate",
     "build_sod_policy",
     "build_chinese_wall_rules",
     "interest_writeback",
@@ -159,11 +157,10 @@ class Evaluator:
     """Binds a graph to a policy pair plus history configuration.
 
     Policies are immutable after load; swap them with :meth:`replace_policy`,
-    which invalidates cached matched-principal sets. ``target_filter``
-    switches on relevance-driven scheduling of principal-matching rules for
-    set- and list-shaped policies (never for DAGs); it preserves decisions
-    but may report a subset of the matched principals, so caching edges are
-    not written while it is active.
+    which invalidates cached matched-principal sets. Every request computes
+    its matched principals with :func:`match_principals`, so results and
+    caching edges are the same for every policy shape. ``target_filter`` is
+    accepted for compatibility and ignored.
     """
 
     def __init__(
@@ -181,7 +178,6 @@ class Evaluator:
         self.policy = policy
         self.defaults = defaults
         self.config = config
-        self.target_filter = target_filter
         self.stats = EvalStats()
         self._pmp_labels = _pmp_alphabet(pmp)
         self._cw_object_nfas: tuple[Nfa, ...] = ()
@@ -214,7 +210,7 @@ class Evaluator:
 
         lines: list[str] | None = [] if trace else None
         epoch = g.epoch
-        matched, cache_assisted, cacheable = self._matched(s, o, o_type, a, lines)
+        matched, cache_assisted = self._matched(s, o, lines)
 
         if not matched:
             decision, level = self.defaults.resolve(
@@ -247,7 +243,7 @@ class Evaluator:
                 if lines is not None:
                     lines.append(f"crs {self.policy.crs.value} -> {decision.value}")
 
-        self._writeback(s, o, a, decision, matched, cacheable, epoch, lines)
+        self._writeback(s, o, a, decision, matched, cache_assisted, epoch, lines)
         self.stats.evaluations += 1
         return EvalResult(
             decision=decision,
@@ -259,14 +255,9 @@ class Evaluator:
         )
 
     def _matched(
-        self,
-        s: str,
-        o: str,
-        o_type: str,
-        action: str,
-        lines: list[str] | None,
-    ) -> tuple[frozenset[str], bool, bool]:
-        """Returns (matched set, came from cache, safe to write back)."""
+        self, s: str, o: str, lines: list[str] | None
+    ) -> tuple[frozenset[str], bool]:
+        """Returns (matched set, came from cache)."""
         g = self.graph
         if self.config.caching_enabled:
             hit = g.lookup_cache(s, o)
@@ -274,79 +265,18 @@ class Evaluator:
                 self.stats.cache_hits += 1
                 if lines is not None:
                     lines.append(f"cache hit: {{{','.join(sorted(hit)) or ''}}}")
-                return hit, True, False
+                return hit, True
             if lines is not None:
                 lines.append("cache miss")
         stats = SearchStats()
-        use_filter = self.target_filter and self.pmp.shape in (
-            PmpShape.SET,
-            PmpShape.LIST,
-        )
-        if use_filter:
-            matched = self._match_filtered(s, o, o_type, action, stats, lines)
-        else:
-            matched = match_principals(g, self.pmp, s, o, stats=stats, trace=lines)
+        matched = match_principals(g, self.pmp, s, o, stats=stats, trace=lines)
         self.stats.principal_computations += 1
         self.stats.product_visits += stats.product_visits
         self.stats.searches += stats.searches
         if lines is not None:
             lines.append(f"matched principals: {{{','.join(sorted(matched))}}}")
             lines.append(f"product-state visits: {stats.product_visits}")
-        # A pruned run may under-report the matched set; never cache it.
-        return matched, False, not use_filter
-
-    def _match_filtered(
-        self,
-        s: str,
-        o: str,
-        o_type: str,
-        action: str,
-        stats: SearchStats,
-        lines: list[str] | None,
-    ) -> frozenset[str]:
-        """Relevance-first scheduling of rule evaluation.
-
-        Only principals named by an authorization rule covering (object,
-        action) can turn into decisions, so their rules are tried first.
-        When none applies, the remaining rules are scanned just far enough
-        to distinguish "no principal matched" from "principals matched but
-        produced no decisions", because the two take different default
-        cascades. For lists, an earlier applicable irrelevant rule preempts
-        a later relevant one (first-applicable semantics are order-exact).
-        """
-        pmp, g = self.pmp, self.graph
-        relevant = relevant_principals(self.policy, o, o_type, action)
-        if pmp.shape is PmpShape.SET:
-            matched = {
-                pmp.rules[i].principal
-                for i in range(len(pmp.rules))
-                if pmp.rules[i].principal in relevant
-                and pmp.applicable(g, i, s, o, stats=stats, trace=lines)
-            }
-            if matched:
-                return frozenset(matched)
-            for i in range(len(pmp.rules)):
-                if pmp.rules[i].principal not in relevant and pmp.applicable(
-                    g, i, s, o, stats=stats, trace=lines
-                ):
-                    return frozenset({pmp.rules[i].principal})
-            return frozenset()
-        first_relevant = None
-        for i in range(len(pmp.rules)):
-            if pmp.rules[i].principal in relevant and pmp.applicable(
-                g, i, s, o, stats=stats, trace=lines
-            ):
-                first_relevant = i
-                break
-        scan_end = first_relevant if first_relevant is not None else len(pmp.rules)
-        for i in range(scan_end):
-            if pmp.rules[i].principal not in relevant and pmp.applicable(
-                g, i, s, o, stats=stats, trace=lines
-            ):
-                return frozenset({pmp.rules[i].principal})
-        if first_relevant is not None:
-            return frozenset({pmp.rules[first_relevant].principal})
-        return frozenset()
+        return matched, False
 
     # -- history writeback
 
@@ -357,7 +287,7 @@ class Evaluator:
         action: str,
         decision: Decision,
         matched: frozenset[str],
-        cacheable: bool,
+        cache_assisted: bool,
         epoch: int,
         lines: list[str] | None,
     ) -> None:
@@ -367,7 +297,7 @@ class Evaluator:
             # The cache entry is stamped with ``epoch``, read before
             # matching: a write that landed while matching ran, or a
             # policy-relevant edge added by this same writeback, stales it.
-            if cfg.caching_enabled and cacheable:
+            if cfg.caching_enabled and not cache_assisted:
                 g.record_typed_edge(s, o, Caching(matched, epoch))
                 self.stats.cache_writes += 1
                 if lines is not None:
@@ -397,22 +327,6 @@ class Evaluator:
 
     def warm(self, pairs: Iterable[tuple[str, str]]) -> int:
         return warm_cache(self.graph, self.pmp, pairs, stats=self.stats)
-
-
-def evaluate(
-    graph: SystemGraph,
-    pmp: Pmp,
-    policy: ExtendedAuthPolicy,
-    defaults: DefaultTable,
-    request: Request,
-    config: HistoryConfig = HistoryConfig(),
-    *,
-    trace: bool = False,
-) -> EvalResult:
-    """One-shot evaluation; use :class:`Evaluator` for request sequences."""
-    return Evaluator(graph, pmp, policy, defaults, config).evaluate(
-        request, trace=trace
-    )
 
 
 def _pmp_alphabet(pmp: Pmp) -> frozenset[str]:

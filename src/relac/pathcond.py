@@ -6,8 +6,7 @@ one-or-more repetition (postfix ``+``), reversal (prefix ``~``) and the
 empty condition ``<>`` which matches a node paired with itself.
 
 The module provides the AST, a parser for the concrete syntax, a canonical
-printer (``to_text``), normalization to simple form (``simplify``) and the
-size metrics driving automaton-size guarantees (``metrics``).
+printer (``to_text``) and normalization to simple form (``simplify``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Iterable, Iterator, Union
 
 from .errors import (
     EmptyInputError,
-    NotSimpleError,
     PathSyntaxError,
 )
 
@@ -39,10 +37,8 @@ __all__ = [
     "to_text",
     "simplify",
     "is_simple",
-    "metrics",
     "base_labels",
     "lint",
-    "concat_all",
 ]
 
 
@@ -359,38 +355,6 @@ def _simple_part(p: PathCondition) -> bool:
     return False  # Empty inside a compound, Reverse anywhere
 
 
-# --- metrics -----------------------------------------------------------------
-
-def metrics(p: PathCondition) -> tuple[int, int]:
-    """Return ``(length, plus_count)`` of a simple path condition.
-
-    ``length`` counts edge-condition occurrences; ``plus_count`` counts
-    ``+`` operators. The compiled automaton has ``length + 1`` states and
-    ``length + plus_count`` transitions.
-    """
-    if not is_simple(p):
-        raise NotSimpleError(f"not in simple form: {to_text(p)}")
-    return _count_edges(p), _count_pluses(p)
-
-
-def _count_edges(p: PathCondition) -> int:
-    if isinstance(p, Edge):
-        return 1
-    if isinstance(p, Concat):
-        return _count_edges(p.left) + _count_edges(p.right)
-    if isinstance(p, Plus):
-        return _count_edges(p.inner)
-    return 0
-
-
-def _count_pluses(p: PathCondition) -> int:
-    if isinstance(p, Plus):
-        return 1 + _count_pluses(p.inner)
-    if isinstance(p, Concat):
-        return _count_pluses(p.left) + _count_pluses(p.right)
-    return 0
-
-
 # --- misc helpers ---------------------------------------------------------------
 
 def _walk(p: PathCondition) -> Iterator[PathCondition]:
@@ -415,14 +379,3 @@ def lint(p: PathCondition) -> list[str]:
         if isinstance(node, Edge) and node.reversed and node.label.startswith("@"):
             out.append(f"reversal of system label {node.label!r} is suspicious")
     return out
-
-
-def concat_all(parts: Iterable[PathCondition]) -> PathCondition:
-    """Right-nested concatenation of ``parts`` (unit: ``<>``)."""
-    items = list(parts)
-    if not items:
-        return Empty()
-    node = items[-1]
-    for item in reversed(items[:-1]):
-        node = Concat(item, node)
-    return node

@@ -38,11 +38,8 @@ __all__ = [
     "DefaultStage",
     "DefaultTable",
     "match_principals",
-    "compute_authorizations",
     "collect_decisions",
     "resolve_conflicts",
-    "apply_defaults",
-    "relevant_principals",
 ]
 
 NULL_PRINCIPAL = "null"
@@ -315,30 +312,6 @@ def resolve_conflicts(crs: Crs, ordered: Sequence[Decision]) -> frozenset[Decisi
     return decisions
 
 
-def compute_authorizations(
-    obj: str,
-    obj_type: str,
-    action: str,
-    policy: ExtendedAuthPolicy,
-    matched: frozenset[str],
-) -> frozenset[Decision]:
-    """Applicable-rule decisions after conflict resolution: one of the empty
-    set, {allow} or {deny}."""
-    return resolve_conflicts(
-        policy.crs, collect_decisions(obj, obj_type, action, policy, matched)
-    )
-
-
-def relevant_principals(
-    policy: ExtendedAuthPolicy, obj: str, obj_type: str, action: str
-) -> frozenset[str]:
-    """Principals that could possibly influence this (object, action):
-    those appearing in a rule whose scope and action patterns cover it."""
-    return frozenset(
-        rule.principal for rule in policy.rules if rule.applies(obj, obj_type, action)
-    )
-
-
 # --- defaults ------------------------------------------------------------------
 
 class DefaultStage(enum.Enum):
@@ -375,14 +348,3 @@ class DefaultTable:
         if obj_type is not None and obj_type in self.per_type:
             return self.per_type[obj_type], "type"
         return self.system_wide, "system"
-
-
-def apply_defaults(
-    table: DefaultTable,
-    stage: DefaultStage,
-    *,
-    subject: str | None = None,
-    obj: str | None = None,
-    obj_type: str | None = None,
-) -> Decision:
-    return table.resolve(stage, subject, obj, obj_type)[0]

@@ -6,7 +6,8 @@ import random
 from typing import Iterable
 
 from relac.automata import Nfa, compile_condition, reachable_accepting
-from relac.engine import ChineseWallConfig
+from relac.engine import ChineseWallConfig, EvalResult, Evaluator, HistoryConfig, Request
+from relac.errors import NotSimpleError
 from relac.fileformat import parse_graph, parse_model, parse_policy
 from relac.graph import (
     Caching,
@@ -16,7 +17,25 @@ from relac.graph import (
     SystemModel,
     reverse_label,
 )
-from relac.pathcond import Concat, Edge, Empty, PathCondition, Plus, Reverse
+from relac.pathcond import (
+    Concat,
+    Edge,
+    Empty,
+    PathCondition,
+    Plus,
+    Reverse,
+    is_simple,
+    to_text,
+)
+from relac.policy import (
+    Decision,
+    DefaultStage,
+    DefaultTable,
+    ExtendedAuthPolicy,
+    Pmp,
+    collect_decisions,
+    resolve_conflicts,
+)
 
 # --- the higher-education course example ------------------------------------
 #
@@ -376,3 +395,78 @@ def reference_serialize_graph(g: SystemGraph) -> str:
     lines.append(f"epoch {g.epoch}")
     lines.extend(sorted(caches))
     return "\n".join(lines) + "\n"
+
+
+# --- one-shot conveniences -------------------------------------------------------
+#
+# Shorthands over the library's API that only tests call.
+
+def evaluate(
+    graph: SystemGraph,
+    pmp: Pmp,
+    policy: ExtendedAuthPolicy,
+    defaults: DefaultTable,
+    request: Request,
+    config: HistoryConfig = HistoryConfig(),
+    *,
+    trace: bool = False,
+) -> EvalResult:
+    """One-shot evaluation; use :class:`Evaluator` for request sequences."""
+    return Evaluator(graph, pmp, policy, defaults, config).evaluate(
+        request, trace=trace
+    )
+
+
+def compute_authorizations(
+    obj: str,
+    obj_type: str,
+    action: str,
+    policy: ExtendedAuthPolicy,
+    matched: frozenset[str],
+) -> frozenset[Decision]:
+    """Applicable-rule decisions after conflict resolution: one of the empty
+    set, {allow} or {deny}."""
+    return resolve_conflicts(
+        policy.crs, collect_decisions(obj, obj_type, action, policy, matched)
+    )
+
+
+def apply_defaults(
+    table: DefaultTable,
+    stage: DefaultStage,
+    *,
+    subject: str | None = None,
+    obj: str | None = None,
+    obj_type: str | None = None,
+) -> Decision:
+    return table.resolve(stage, subject, obj, obj_type)[0]
+
+
+def metrics(p: PathCondition) -> tuple[int, int]:
+    """Return ``(length, plus_count)`` of a simple path condition.
+
+    ``length`` counts edge-condition occurrences; ``plus_count`` counts
+    ``+`` operators. The compiled automaton has ``length + 1`` states and
+    ``length + plus_count`` transitions.
+    """
+    if not is_simple(p):
+        raise NotSimpleError(f"not in simple form: {to_text(p)}")
+    return _count_edges(p), _count_pluses(p)
+
+
+def _count_edges(p: PathCondition) -> int:
+    if isinstance(p, Edge):
+        return 1
+    if isinstance(p, Concat):
+        return _count_edges(p.left) + _count_edges(p.right)
+    if isinstance(p, Plus):
+        return _count_edges(p.inner)
+    return 0
+
+
+def _count_pluses(p: PathCondition) -> int:
+    if isinstance(p, Plus):
+        return 1 + _count_pluses(p.inner)
+    if isinstance(p, Concat):
+        return _count_pluses(p.left) + _count_pluses(p.right)
+    return 0

@@ -12,11 +12,12 @@ import time
 import numpy as np
 
 import helpers
+from helpers import metrics
 from relac.automata import compile_condition, intersection_search
 from relac.engine import Evaluator, HistoryConfig, Request
 from relac.graph import Caching, DecisionAudit, SystemGraph, SystemModel
 from oracle import satisfaction_table
-from relac.pathcond import PathTarget, metrics, parse, simplify, to_text
+from relac.pathcond import PathTarget, parse, simplify, to_text
 from relac.policy import Decision, DefaultStage, DefaultTable, match_principals
 from relac.automata import matches
 

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from helpers import graph_accepts, nfa_accepts, random_graph, random_simple_condition
+from helpers import (
+    graph_accepts,
+    metrics,
+    nfa_accepts,
+    random_graph,
+    random_simple_condition,
+)
 from relac.automata import (
     SearchStats,
     compile_condition,
@@ -25,7 +31,7 @@ from relac.graph import (
     allow_label,
 )
 from oracle import satisfaction_table
-from relac.pathcond import ALL, NONE, Empty, PathTarget, metrics, parse, to_text
+from relac.pathcond import ALL, NONE, Empty, PathTarget, parse, to_text
 from relac.policy import Pmp, PmpShape, match_principals
 
 

@@ -60,6 +60,40 @@ def sod_files(tmp_path):
     return {name: str(tmp_path / f"{name}.txt") for name in ("model", "graph", "policy", "requests")}
 
 
+README_WORKSPACE = {
+    "model": "type user\ntype doc\nrel wrote\nperm user doc wrote\naction read\n",
+    "graph": "entity u1 user\nentity d1 doc\nedge u1 d1 wrote\n",
+    "policy": "pmp set\nrule owner : wrote ! none\nauth owner * read allow\n"
+              "crs deny-overrides\ndefault system deny\n",
+}
+
+
+@pytest.fixture
+def readme_files(tmp_path):
+    """The minimal workspace shown in the README."""
+    for name, text in README_WORKSPACE.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    return {name: str(tmp_path / f"{name}.txt") for name in README_WORKSPACE}
+
+
+def source_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_relac(*argv: str) -> subprocess.CompletedProcess:
+    """``relac`` in a fresh interpreter, as a shell would run it."""
+    return subprocess.run(
+        [sys.executable, "-m", "relac.cli", *argv],
+        env=source_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 # --- validate --------------------------------------------------------------------
 
 def test_validate_clean(course_files, capsys):
@@ -128,6 +162,27 @@ def test_eval_commit_persists_history(course_files, capsys):
     # without --commit nothing is persisted
     main(["eval", *common(course_files), "u1", "a3", "read"])
     assert "@allow:grade" not in open(course_files["graph"]).read()
+
+
+def test_eval_target_opt_is_accepted_and_changes_nothing(readme_files, capsys):
+    outputs = []
+    for extra in ((), ("--target-opt",)):
+        code = main(["eval", *common(readme_files, "--trace", *extra), "u1", "d1", "read"])
+        assert code == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0] == outputs[1]
+    assert outputs[1][-1] == "allow\towner\tauthorization"
+    assert "# cache write" in outputs[1]
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"], ["eval", "u1", "d1", "read"]], ids=["validate", "eval"]
+)
+def test_negative_cache_cap_is_a_usage_error(readme_files, command):
+    done = run_relac(command[0], *common(readme_files, "--cache-cap", "-1"), *command[1:])
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "--cache-cap" in done.stderr
 
 
 # --- batch -----------------------------------------------------------------------
@@ -214,11 +269,9 @@ def test_warm_reports_bad_pairs(course_files, tmp_path, capsys):
 
 def test_import_does_not_load_numpy():
     # numpy is a test-only dependency: the package must import without it.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-c", "import relac, sys; assert 'numpy' not in sys.modules"],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=source_env(),
         check=True,
         timeout=60,
     )

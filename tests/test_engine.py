@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 import relac.engine
-from helpers import random_graph
+from helpers import evaluate, random_graph
 from relac.engine import (
     DecisionSource,
     Evaluator,
@@ -14,7 +14,6 @@ from relac.engine import (
     Request,
     build_chinese_wall_rules,
     build_sod_policy,
-    evaluate,
     interest_writeback,
     warm_cache,
 )
@@ -453,7 +452,7 @@ def test_write_during_matching_stales_the_cache_entry(monkeypatch, fill):
     assert result.matched == frozenset({"author"})
 
 
-# --- target-based scheduling ----------------------------------------------------------
+# --- the ignored target_filter flag ---------------------------------------------------
 
 def _random_policy_instance(rng: random.Random, shape: PmpShape):
     g = random_graph(rng, max_nodes=8, n_relations=3, max_edges=14, symmetric_count=0)
@@ -477,7 +476,13 @@ def _random_policy_instance(rng: random.Random, shape: PmpShape):
             r for r in rules
             if not (r.mandated == ALL and r.precluded == NONE)
         ] or [PmRule(PathTarget(parse(labels[0])), NONE, "p0")]
-    pmp = Pmp(shape, rules)
+    dag_edges = ()
+    if shape is PmpShape.DAG:
+        # Rule 0 is the root; every later rule hangs under one or two
+        # earlier ones.
+        dag_edges = {(rng.randrange(i), i) for i in range(1, len(rules))}
+        dag_edges |= {(rng.randrange(i), i) for i in range(1, len(rules)) if rng.random() < 0.3}
+    pmp = Pmp(shape, rules, sorted(dag_edges))
     auth_rules = []
     for _ in range(rng.randint(0, 5)):
         auth_rules.append(
@@ -501,42 +506,30 @@ def _random_policy_instance(rng: random.Random, shape: PmpShape):
     return g, pmp, policy, defaults, nodes
 
 
-@pytest.mark.parametrize("shape", [PmpShape.SET, PmpShape.LIST])
-def test_target_filter_preserves_decisions(shape):
-    rng = random.Random(hash(shape.value) & 0xFFFF)
-    for _ in range(60):
-        g, pmp, policy, defaults, nodes = _random_policy_instance(rng, shape)
-        plain = Evaluator(g, pmp, policy, defaults)
-        filtered = Evaluator(g, pmp, policy, defaults, target_filter=True)
-        for _ in range(10):
-            req = Request(rng.choice(nodes), rng.choice(nodes), rng.choice(["act", "other"]))
-            assert filtered.evaluate(req).decision == plain.evaluate(req).decision, req
-
-
-def test_target_filter_suppresses_cache_writes(course):
-    _, g, parsed = course
-    ev = Evaluator(
-        g, parsed.pmp, parsed.policy, parsed.defaults,
-        history(caching_enabled=True), target_filter=True,
-    )
-    ev.evaluate(Request("u1", "a3", "read"))
-    assert ev.stats.cache_writes == 0
-    assert g.cache_size() == 0
-    # but a fresh cache from elsewhere is still consumed
-    warm_cache(g, parsed.pmp, [("u1", "a3")])
-    assert ev.evaluate(Request("u1", "a3", "grade")).cache_assisted
-
-
-def test_target_filter_never_used_for_dags():
-    rng = random.Random(8)
-    g = random_graph(rng, max_nodes=5, n_relations=2, max_edges=6, symmetric_count=0)
-    rules = [PmRule(ALL, NONE, "null"), PmRule(ALL, NONE, "p1")]
-    pmp = Pmp(PmpShape.DAG, rules, [(0, 1)])
-    policy = ExtendedAuthPolicy((AuthRule("p1", "*", "*", ALLOW),), Crs.DENY_OVERRIDES)
-    defaults = DefaultTable(system_wide=DENY)
-    nodes = sorted(g.nodes())
-    ev = Evaluator(g, pmp, policy, defaults, target_filter=True)
-    assert ev.evaluate(Request(nodes[0], nodes[1], "act")).decision is ALLOW
+@pytest.mark.parametrize("shape", [PmpShape.SET, PmpShape.LIST, PmpShape.DAG])
+def test_target_filter_flag_changes_nothing(shape):
+    """``target_filter=True`` gives the same results and writes the same
+    caching edges as the default evaluator, on two copies of one instance."""
+    rng = random.Random(shape.value)
+    config = history(caching_enabled=True)
+    cache_hits = 0
+    for _ in range(40):
+        seed = rng.randrange(1 << 30)
+        runs = []
+        for flag in (False, True):
+            g, pmp, policy, defaults, nodes = _random_policy_instance(random.Random(seed), shape)
+            ev = Evaluator(g, pmp, policy, defaults, config, target_filter=flag)
+            requests = random.Random(seed)
+            results = []
+            for _ in range(12):
+                req = Request(requests.choice(nodes[:3]), requests.choice(nodes[:3]),
+                              requests.choice(["act", "other"]))
+                r = ev.evaluate(req)
+                results.append((r.decision, r.matched, r.decision_source, r.cache_assisted))
+            runs.append((results, dict(g.cache_entries())))
+        assert runs[0] == runs[1]
+        cache_hits += sum(r[3] for r in runs[0][0])
+    assert cache_hits > 0
 
 
 # --- concurrency ----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_graph, random_raw_condition
+from helpers import metrics, random_graph, random_raw_condition
 from relac.errors import EmptyInputError, NotSimpleError, PathSyntaxError
 from oracle import satisfaction_table
 from relac.pathcond import (
@@ -18,7 +18,6 @@ from relac.pathcond import (
     base_labels,
     is_simple,
     lint,
-    metrics,
     parse,
     simplify,
     to_text,

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import apply_defaults, compute_authorizations
 from relac.errors import MalformedDagError, PolicyError
 from relac.graph import SystemGraph, SystemModel
 from relac.pathcond import ALL, NONE, PathTarget, parse
@@ -19,11 +20,8 @@ from relac.policy import (
     PmRule,
     Pmp,
     PmpShape,
-    apply_defaults,
     collect_decisions,
-    compute_authorizations,
     match_principals,
-    relevant_principals,
     resolve_conflicts,
 )
 
@@ -282,20 +280,6 @@ def test_collect_decisions_preserves_order():
     )
     got = collect_decisions("o", "t", "a", pol, frozenset({"p", "q"}))
     assert got == (DENY, ALLOW, ALLOW)
-
-
-# --- relevant principals ------------------------------------------------------------
-
-def test_relevant_principals_course_grade(course):
-    _, _, parsed = course
-    got = relevant_principals(parsed.policy, "a3", "coursework", "grade")
-    assert got == frozenset({"course-ta"})
-
-
-def test_relevant_principals_empty_and_wildcard():
-    assert relevant_principals(auth(), "o", "t", "a") == frozenset()
-    pol = auth(AuthRule("p", "*", "*", ALLOW), AuthRule("q", "x", "a", DENY))
-    assert relevant_principals(pol, "o", "t", "a") == frozenset({"p"})
 
 
 # --- defaults ------------------------------------------------------------------------
