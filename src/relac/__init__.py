@@ -12,7 +12,6 @@ from .graph import (
     Caching,
     DecisionAudit,
     InterestAudit,
-    Relationship,
     SystemGraph,
     SystemModel,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "RelacError",
     "SystemModel",
     "SystemGraph",
-    "Relationship",
     "Caching",
     "DecisionAudit",
     "InterestAudit",

@@ -293,6 +293,12 @@ class Evaluator:
     ) -> None:
         cfg = self.config
         g = self.graph
+        allowed = decision is Decision.ALLOW
+        # Made before any write: an action the graph file cannot carry
+        # raises here and leaves the graph as it was.
+        audit = None
+        if cfg.decision_audit_enabled or (cfg.chinese_wall is not None and allowed):
+            audit = decision_audit(action, allowed)
         with g.write_lock():
             # The cache entry is stamped with ``epoch``, read before
             # matching: a write that landed while matching ran, or a
@@ -304,7 +310,7 @@ class Evaluator:
                     lines.append("cache write")
             invalidate = False
             added: list[str] = []
-            if cfg.chinese_wall is not None and decision is Decision.ALLOW:
+            if cfg.chinese_wall is not None and allowed:
                 added = interest_writeback(
                     g, s, o, action, cfg.chinese_wall, object_nfas=self._cw_object_nfas
                 )
@@ -313,11 +319,10 @@ class Evaluator:
             # anything; when it adds nothing the audit edge is either
             # already there or still to be written here.
             if cfg.decision_audit_enabled and not added:
-                kind = decision_audit(action, decision is Decision.ALLOW)
-                if g.record_typed_edge(s, o, kind):
-                    invalidate |= kind.label in self._pmp_labels
+                if g.record_typed_edge(s, o, audit):
+                    invalidate |= audit.label in self._pmp_labels
                     if lines is not None:
-                        lines.append(f"audit edge {kind.label}")
+                        lines.append(f"audit edge {audit.label}")
             if invalidate:
                 g.invalidate_caches()
                 if lines is not None:

@@ -34,11 +34,12 @@ import re
 import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from . import pathcond
 from .engine import ChineseWallConfig, build_chinese_wall_rules, build_sod_policy
 from .errors import FileFormatError, RelacError
-from .graph import Caching, SystemGraph, SystemModel, kind_from_label
+from .graph import SystemGraph, SystemModel
 from .pathcond import ALL, NONE, PathTarget, Target
 from .policy import (
     AuthRule,
@@ -70,14 +71,15 @@ __all__ = [
 _PRINCIPAL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*$")
 
 
-def _lines(text: str) -> list[tuple[int, list[str], str]]:
-    """(lineno, tokens, raw) for every non-blank, non-comment line."""
-    out = []
+def _lines(text: str) -> Iterator[tuple[int, list[str], str]]:
+    """(lineno, tokens, line) for every non-blank, non-comment line, as the
+    text is read; ``line`` is the stripped text before any ``#``."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line.split(), line))
-    return out
+        if "#" in raw:
+            raw = raw.partition("#")[0]
+        tokens = raw.split()
+        if tokens:
+            yield lineno, tokens, raw.strip()
 
 
 class _Collector:
@@ -149,43 +151,56 @@ def parse_graph(
     source: str = "<graph>",
     cache_capacity: int | None = None,
 ) -> SystemGraph:
+    """One pass over the text: entity and edge lines go to the graph in file
+    order, then the last ``epoch`` line is restored and the cache lines are
+    entered, so they may name entities declared after them. Errors are
+    reported in that order too."""
     col = _Collector(source)
     g = SystemGraph(model, cache_capacity=cache_capacity)
-    cache_lines: list[tuple[int, list[str]]] = []
+    errors: list[tuple[int, str]] = []
+    cache_errors: list[tuple[int, str]] = []
+    caches: list[tuple[int, str, str, frozenset[str], int]] = []
     final_epoch: int | None = None
-    for lineno, tokens, _ in _lines(text):
-        kw = tokens[0]
-        try:
-            if kw == "entity" and len(tokens) == 3:
-                g.add_entity(tokens[1], tokens[2])
-            elif kw == "edge" and len(tokens) == 4:
-                frm, to, label = tokens[1:]
-                if label.startswith("@"):
-                    g.record_typed_edge(frm, to, kind_from_label(label))
-                else:
-                    g.add_relationship(frm, to, label)
-            elif kw == "cache" and len(tokens) == 5:
-                cache_lines.append((lineno, tokens))
-            elif kw == "epoch" and len(tokens) == 2:
-                final_epoch = int(tokens[1])
+
+    def records() -> Iterator[tuple]:
+        nonlocal final_epoch
+        for lineno, tokens, _ in _lines(text):
+            kw = tokens[0]
+            n = len(tokens)
+            if kw == "edge" and n == 4:
+                yield lineno, tokens[1], tokens[2], tokens[3]
+            elif kw == "entity" and n == 3:
+                yield lineno, tokens[1], tokens[2]
+            elif kw == "cache" and n == 5:
+                _, subj, obj, epoch_text, plist = tokens
+                try:
+                    epoch = int(epoch_text)
+                except ValueError as exc:
+                    cache_errors.append((lineno, str(exc)))
+                    continue
+                principals = frozenset() if plist == "-" else frozenset(plist.split(","))
+                caches.append((lineno, subj, obj, principals, epoch))
+            elif kw == "epoch" and n == 2:
+                try:
+                    final_epoch = int(tokens[1])
+                except ValueError as exc:
+                    errors.append((lineno, str(exc)))
             else:
-                col.error(lineno, f"unrecognized graph directive: {' '.join(tokens)}")
-        except RelacError as exc:
-            col.error(lineno, str(exc))
-        except ValueError as exc:
-            col.error(lineno, str(exc))
+                errors.append((lineno, f"unrecognized graph directive: {' '.join(tokens)}"))
+
+    rejected = g.add_many(records())
+    errors += ((lineno, str(exc)) for lineno, exc in rejected)
+    for lineno, message in sorted(errors):
+        col.error(lineno, message)
     if final_epoch is not None:
         try:
-            g._restore_epoch(final_epoch)
+            g.restore_epoch(final_epoch)
         except ValueError as exc:
             col.error(None, str(exc))
-    for lineno, tokens in cache_lines:
-        _, subj, obj, epoch_text, plist = tokens
-        try:
-            principals = frozenset() if plist == "-" else frozenset(plist.split(","))
-            g.record_typed_edge(subj, obj, Caching(principals, int(epoch_text)))
-        except (RelacError, ValueError) as exc:
-            col.error(lineno, str(exc))
+    rejected = g.add_many(caches)
+    cache_errors += ((lineno, str(exc)) for lineno, exc in rejected)
+    for lineno, message in sorted(cache_errors):
+        col.error(lineno, message)
     col.finish()
     return g
 

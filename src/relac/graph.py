@@ -23,6 +23,7 @@ from .errors import (
     DuplicateEntityError,
     FrozenRelationError,
     ModelError,
+    RelacError,
     SchemaViolationError,
     UnknownNodeError,
     UnknownRelationError,
@@ -32,7 +33,6 @@ from .errors import (
 __all__ = [
     "SystemModel",
     "SystemGraph",
-    "Relationship",
     "Caching",
     "DecisionAudit",
     "InterestAudit",
@@ -75,6 +75,16 @@ def _bucket(by_label: dict[str, set[str]], label: str, alias: str | None = None)
         if alias is not None:
             by_label[alias] = bucket
     return bucket
+
+
+def _valid_id(node: str) -> bool:
+    """One graph-file token: no whitespace (``split`` breaks on exactly the
+    characters ``isspace`` accepts), no ``#``, which starts a comment, and
+    no leading ``@`` or ``~``, which mark labels. An alphanumeric id, the
+    common case, has none of these."""
+    if node.isalnum():
+        return True
+    return node.split() == [node] and "#" not in node and not node.startswith(("@", "~"))
 
 
 # --- schema -------------------------------------------------------------------
@@ -120,11 +130,6 @@ class SystemModel:
 # --- edge kinds -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Relationship:
-    label: str
-
-
-@dataclass(frozen=True)
 class Caching:
     """Matched-principal cache entry; ``epoch`` is stamped at write time when
     left unset."""
@@ -137,6 +142,12 @@ class Caching:
 class DecisionAudit:
     action: str
     allowed: bool
+
+    def __post_init__(self):
+        # The label goes into graph files, where ``#`` starts a comment and
+        # whitespace separates tokens.
+        if "#" in self.action or any(c.isspace() for c in self.action):
+            raise ModelError(f"invalid action {self.action!r}")
 
     @cached_property
     def label(self) -> str:
@@ -152,7 +163,7 @@ class InterestAudit:
         return INTEREST_BLOCKED if self.blocked else INTEREST_ACTIVE
 
 
-EdgeKind = Union[Relationship, Caching, DecisionAudit, InterestAudit]
+EdgeKind = Union[Caching, DecisionAudit, InterestAudit]
 
 ACTIVE_INTEREST = InterestAudit(blocked=False)
 BLOCKED_INTEREST = InterestAudit(blocked=True)
@@ -240,8 +251,7 @@ class SystemGraph:
                 raise UnknownTypeError(f"unknown type {type_name!r}")
             if node in self._types:
                 raise DuplicateEntityError(f"entity {node!r} already present")
-            # ``split`` breaks on exactly the characters ``isspace`` accepts.
-            if node.split() != [node] or node.startswith(("@", "#", "~")):
+            if not _valid_id(node):
                 raise ModelError(f"invalid entity id {node!r}")
             self._types[node] = type_name
             self._adj[node] = {}
@@ -304,8 +314,6 @@ class SystemGraph:
                     while len(cache) > self.cache_capacity:
                         cache.popitem(last=False)
                 return True
-            if isinstance(kind, Relationship):
-                raise ValueError("use add_relationship for relationship edges")
             label = kind.label
             targets = _bucket(adj[from_node], label)
             if to_node in targets:
@@ -344,6 +352,115 @@ class SystemGraph:
             if isinstance(kind, InterestAudit):
                 self._interest_edges += len(new)
             return len(new)
+
+    def add_many(self, items: Iterable[tuple]) -> list[tuple[object, Exception]]:
+        """Bulk insert for loaders, under one lock. ``items`` holds, in
+        order, entities ``(pos, id, type)``, edges ``(pos, from, to, label)``
+        whose label is a relation or an ``@`` history label, and caching
+        edges ``(pos, subject, object, principals, epoch)``; ``pos`` is
+        opaque. Each item has exactly the effect of :meth:`add_entity`,
+        :meth:`add_relationship`, :meth:`record_typed_edge` with
+        :func:`kind_from_label`, or :meth:`record_typed_edge` with
+        :class:`Caching`, epochs included. Returns ``(pos, error)`` for each
+        rejected item, in order, with the error that method raises; a
+        rejected item changes nothing.
+
+        The schema check runs once per distinct (from-type, to-type,
+        relation) and history labels are parsed once each; an item that
+        fails a check goes to its single-item method, which raises."""
+        rejected: list[tuple[object, Exception]] = []
+
+        def reject(pos: object, insert, *args) -> None:
+            try:
+                insert(*args)
+            except (RelacError, ValueError) as exc:
+                rejected.append((pos, exc))
+
+        def add_edge(frm: str, to: str, label: str) -> None:
+            if label.startswith("@"):
+                self.record_typed_edge(frm, to, kind_from_label(label))
+            else:
+                self.add_relationship(frm, to, label)
+
+        model = self.model
+        symmetric = model.symmetric
+        types, adj, cache = self._types, self._adj, self._cache
+        frozen = self._frozen_relations
+        permitted: dict[tuple[str | None, str | None, str], bool] = {}
+        # label -> (reverse label, one set shared with it, relation,
+        # interest edge); relations up front, history labels once parsed.
+        labels: dict[str, tuple[str, bool, bool, bool]] = {
+            r: ("~" + r, r in symmetric, True, False) for r in model.relations
+        }
+        with self._lock:
+            for item in items:
+                if len(item) == 4:
+                    pos, frm, to, label = item
+                    info = labels.get(label)
+                    if info is None and label.startswith("@"):
+                        try:
+                            interest = isinstance(kind_from_label(label), InterestAudit)
+                        except RelacError:
+                            pass
+                        else:
+                            info = labels[label] = ("~" + label, False, False, interest)
+                    if info is None:
+                        reject(pos, add_edge, frm, to, label)
+                        continue
+                    reverse, shared, relation, interest = info
+                    if relation:
+                        key = (types.get(frm), types.get(to), label)
+                        ok = permitted.get(key)
+                        if ok is None:
+                            ok = permitted[key] = (
+                                None not in key and model.permits(*key)
+                            )
+                        if not ok or (frozen and label in frozen and self._interest_edges):
+                            reject(pos, add_edge, frm, to, label)
+                            continue
+                    elif frm not in adj or to not in adj:
+                        reject(pos, add_edge, frm, to, label)
+                        continue
+                    by_label = adj[frm]
+                    targets = by_label.get(label)
+                    if targets is None:
+                        targets = by_label[label] = set()
+                        if shared:
+                            by_label[reverse] = targets
+                    elif to in targets:
+                        continue
+                    targets.add(to)
+                    by_label = adj[to]
+                    sources = by_label.get(reverse)
+                    if sources is None:
+                        sources = by_label[reverse] = set()
+                        if shared:
+                            by_label[label] = sources
+                    sources.add(frm)
+                    if relation:
+                        self._epoch += 1
+                    elif interest:
+                        self._interest_edges += 1
+                elif len(item) == 3:
+                    pos, node, type_name = item
+                    if type_name not in model.types or node in types or not _valid_id(node):
+                        reject(pos, self.add_entity, node, type_name)
+                        continue
+                    types[node] = type_name
+                    adj[node] = {}
+                    self._epoch += 1
+                else:
+                    pos, s, o, principals, epoch = item
+                    if s not in adj or o not in adj:
+                        reject(pos, self.record_typed_edge, s, o, Caching(principals, epoch))
+                        continue
+                    key = (s, o)
+                    cache[key] = (frozenset(principals), self._epoch if epoch is None else epoch)
+                    cache.move_to_end(key)
+                    if self.cache_capacity is not None:
+                        while len(cache) > self.cache_capacity:
+                            cache.popitem(last=False)
+        return rejected
 
     def invalidate_caches(self) -> None:
         """Advance the epoch so every caching edge becomes stale. Called by
@@ -449,7 +566,7 @@ class SystemGraph:
 
     # -- persistence hook (used by the file loader to restore cache freshness)
 
-    def _restore_epoch(self, epoch: int) -> None:
+    def restore_epoch(self, epoch: int) -> None:
         if epoch < self._epoch:
             raise ValueError("cannot move the epoch backwards")
         self._epoch = epoch

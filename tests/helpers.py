@@ -7,14 +7,15 @@ from typing import Iterable
 
 from relac.automata import Nfa, compile_condition, reachable_accepting
 from relac.engine import ChineseWallConfig, EvalResult, Evaluator, HistoryConfig, Request
-from relac.errors import NotSimpleError
-from relac.fileformat import parse_graph, parse_model, parse_policy
+from relac.errors import NotSimpleError, RelacError
+from relac.fileformat import _Collector, parse_graph, parse_model, parse_policy
 from relac.graph import (
     Caching,
     DecisionAudit,
     InterestAudit,
     SystemGraph,
     SystemModel,
+    kind_from_label,
     reverse_label,
 )
 from relac.pathcond import (
@@ -354,8 +355,9 @@ def graph_accepts(g: SystemGraph, start: str, accept: str, word: Iterable[str]) 
 
 # --- reference writers ------------------------------------------------------------
 #
-# Edge-at-a-time versions of the bulk history writes and the one-pass graph
-# dump; tests require the library's results to equal theirs.
+# Edge-at-a-time versions of the bulk history writes, the one-pass graph
+# dump and the one-pass graph loader; tests require the library's results
+# to equal theirs.
 
 def reference_interest_writeback(
     g: SystemGraph, subject: str, obj: str, action: str, cw: ChineseWallConfig
@@ -395,6 +397,60 @@ def reference_serialize_graph(g: SystemGraph) -> str:
     lines.append(f"epoch {g.epoch}")
     lines.extend(sorted(caches))
     return "\n".join(lines) + "\n"
+
+
+def reference_parse_graph(
+    text: str,
+    model: SystemModel,
+    source: str = "<graph>",
+    cache_capacity: int | None = None,
+) -> SystemGraph:
+    """The per-line graph loader: every line tokenized into a list first,
+    then one ``add_entity``, ``add_relationship`` or ``record_typed_edge``
+    call per entity and edge line, the last ``epoch`` line restored, and the
+    cache lines entered last."""
+    col = _Collector(source)
+    g = SystemGraph(model, cache_capacity=cache_capacity)
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line.split()))
+    cache_lines: list[tuple[int, list[str]]] = []
+    final_epoch: int | None = None
+    for lineno, tokens in lines:
+        kw = tokens[0]
+        try:
+            if kw == "entity" and len(tokens) == 3:
+                g.add_entity(tokens[1], tokens[2])
+            elif kw == "edge" and len(tokens) == 4:
+                frm, to, label = tokens[1:]
+                if label.startswith("@"):
+                    g.record_typed_edge(frm, to, kind_from_label(label))
+                else:
+                    g.add_relationship(frm, to, label)
+            elif kw == "cache" and len(tokens) == 5:
+                cache_lines.append((lineno, tokens))
+            elif kw == "epoch" and len(tokens) == 2:
+                final_epoch = int(tokens[1])
+            else:
+                col.error(lineno, f"unrecognized graph directive: {' '.join(tokens)}")
+        except (RelacError, ValueError) as exc:
+            col.error(lineno, str(exc))
+    if final_epoch is not None:
+        try:
+            g.restore_epoch(final_epoch)
+        except ValueError as exc:
+            col.error(None, str(exc))
+    for lineno, tokens in cache_lines:
+        _, subj, obj, epoch_text, plist = tokens
+        try:
+            principals = frozenset() if plist == "-" else frozenset(plist.split(","))
+            g.record_typed_edge(subj, obj, Caching(principals, int(epoch_text)))
+        except (RelacError, ValueError) as exc:
+            col.error(lineno, str(exc))
+    col.finish()
+    return g
 
 
 # --- one-shot conveniences -------------------------------------------------------

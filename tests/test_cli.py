@@ -164,6 +164,18 @@ def test_eval_commit_persists_history(course_files, capsys):
     assert "@allow:grade" not in open(course_files["graph"]).read()
 
 
+@pytest.mark.parametrize("action", ["read#x", "read x"])
+def test_eval_commit_rejects_an_action_the_graph_file_cannot_carry(sod_files, action, capsys):
+    """The model declares no actions, so any action is admissible, but an
+    audit label with ``#`` or whitespace would not reload as written."""
+    graph = Path(sod_files["graph"])
+    before = graph.read_bytes()
+    assert main(["eval", *common(sod_files, "--commit"), "u1", "o", action]) == 2
+    assert "invalid action" in capsys.readouterr().err
+    assert graph.read_bytes() == before
+    assert main(["validate", *common(sod_files)]) == 0
+
+
 def test_eval_target_opt_is_accepted_and_changes_nothing(readme_files, capsys):
     outputs = []
     for extra in ((), ("--target-opt",)):
@@ -280,22 +292,36 @@ def test_import_does_not_load_numpy():
 GOLDEN = Path(__file__).parent / "golden" / "cw_sod"
 
 
-def test_batch_commit_golden_wall_and_sod_workspace(tmp_path, capsys):
-    """``batch --commit`` on a small Chinese Wall plus separation-of-duty
-    workspace (two files each belong to two companies, rivals in one case)
-    reproduces the recorded decisions and committed graph file. Only the
-    summary's product-visits count is left out: it depends on set
-    iteration order."""
-    paths = {}
-    for name in ("model", "graph", "policy", "requests"):
-        paths[name] = str(tmp_path / f"{name}.txt")
+def check_golden_batch(tmp_path, capsys, graph: str, out: str, committed: str) -> None:
+    """``batch --commit`` of the golden requests on ``graph`` prints
+    ``out`` and commits ``committed``. Only the summary's product-visits
+    count is left out: it depends on set iteration order."""
+    paths = {name: str(tmp_path / f"{name}.txt") for name in ("model", "graph", "policy", "requests")}
+    for name in ("model", "policy", "requests"):
         Path(paths[name]).write_text((GOLDEN / f"{name}.txt").read_text())
+    Path(paths["graph"]).write_text((GOLDEN / graph).read_text())
     code = main(["batch", *common(paths), "--commit", paths["requests"]])
     assert code == 0
 
     def visits_dropped(text: str) -> list[str]:
         return [re.sub(r" product-visits=\d+$", "", line) for line in text.splitlines()]
 
-    expected = (GOLDEN / "expected-out.txt").read_text()
+    expected = (GOLDEN / out).read_text()
     assert visits_dropped(capsys.readouterr().out) == visits_dropped(expected)
-    assert Path(paths["graph"]).read_bytes() == (GOLDEN / "expected-graph.txt").read_bytes()
+    assert Path(paths["graph"]).read_bytes() == (GOLDEN / committed).read_bytes()
+
+
+def test_batch_commit_golden_wall_and_sod_workspace(tmp_path, capsys):
+    """``batch --commit`` on a small Chinese Wall plus separation-of-duty
+    workspace (two files each belong to two companies, rivals in one case)
+    reproduces the recorded decisions and committed graph file."""
+    check_golden_batch(tmp_path, capsys, "graph.txt", "expected-out.txt", "expected-graph.txt")
+
+
+def test_batch_commit_golden_second_round(tmp_path, capsys):
+    """The same requests again on the committed graph, which has history
+    and cache lines, so the loader's history-edge and cache-line paths feed
+    the recorded decisions and the second committed file."""
+    check_golden_batch(
+        tmp_path, capsys, "expected-graph.txt", "expected-out-round2.txt", "expected-graph-round2.txt"
+    )

@@ -19,11 +19,12 @@ from relac.engine import (
 )
 from relac.errors import (
     FrozenRelationError,
+    ModelError,
     NonDenyOverridesError,
     UnknownActionError,
     UnknownNodeError,
 )
-from relac.fileformat import parse_graph, serialize_graph
+from relac.fileformat import parse_graph, parse_policy, serialize_graph
 from relac.graph import Caching, DecisionAudit
 from relac.pathcond import ALL, NONE, PathTarget, parse
 from relac.policy import (
@@ -86,6 +87,34 @@ def test_unknown_node_and_action(course):
         ev.evaluate(Request("u1", "a9", "read"))
     with pytest.raises(UnknownActionError):
         ev.evaluate(Request("u1", "a1", "fly"))
+
+
+@pytest.mark.parametrize("action", ["read#x", "read x", "read\u3000x"])
+def test_action_the_graph_file_cannot_carry_writes_nothing(action):
+    """With no ``action`` lines in the model any action is admissible, but
+    one that would be written into an audit label must be a single token
+    without ``#``: the request raises before any edge is written."""
+    _, g, parsed = helpers.sod_example()
+    wall_model, wall_graph, _ = helpers.wall_example()
+    wall_policy = parse_policy(
+        helpers.WALL_POLICY.replace("auth p * read allow", "auth p * * allow"), wall_model
+    )
+    cases = [
+        (g, parsed, history(caching_enabled=True, decision_audit_enabled=True), ("u1", "o")),
+        (wall_graph, wall_policy,
+         history(caching_enabled=True, chinese_wall=wall_policy.chinese_wall), ("u1", "f1")),
+    ]
+    for graph, policy, config, (s, o) in cases:
+        ev = Evaluator(graph, policy.pmp, policy.policy, policy.defaults, config)
+        before = (serialize_graph(graph), graph.epoch)
+        with pytest.raises(ModelError, match="invalid action"):
+            ev.evaluate(Request(s, o, action))
+        assert (serialize_graph(graph), graph.epoch) == before
+        assert ev.evaluate(Request(s, o, "read")).decision is ALLOW
+    # an action that nothing records stays admissible
+    _, g, parsed = helpers.sod_example()
+    ev = Evaluator(g, parsed.pmp, parsed.policy, parsed.defaults, history(caching_enabled=True))
+    assert ev.evaluate(Request("u1", "o", action)).decision is ALLOW
 
 
 def test_one_shot_helper(course):

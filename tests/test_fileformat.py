@@ -51,6 +51,101 @@ def test_graph_error_positions():
     assert "g.txt:5" in messages  # unknown node
 
 
+LOADER_MODEL = "type user\ntype doc\nrel owns\nsymrel knows\nperm user doc owns\nperm user user knows\n"
+
+# One line of each kind the loader rejects.
+BAD_GRAPH_LINES = [
+    "entity x9 robot",  # unknown type
+    "entity u0 user",  # duplicate entity
+    "entity @x user",  # bad id
+    "entity ~x doc",  # bad id
+    "edge u0 ghost owns",  # unknown node
+    "edge ghost d0 @allow:read",  # unknown node, history edge
+    "edge u0 late owns",  # entity declared on a later line
+    "edge u0 d0 likes",  # unknown relation
+    "edge u0 d0 ~owns",  # reverse label
+    "edge u0 d0 @bogus",  # unknown system label
+    "edge d0 u0 owns",  # schema violation
+    "cache u0 d0 x p",  # bad cache epoch
+    "cache u0 ghost 3 p",  # cache line naming an unknown node
+    "epoch soon",  # bad epoch
+    "epoch 0",  # backwards epoch, when it is the last epoch line
+    "edge u0 d0",  # unrecognized directive
+]
+
+
+def random_graph_text(rng: random.Random, bad_lines: int) -> str:
+    users = [f"u{i}" for i in range(rng.randint(1, 5))]
+    docs = [f"d{i}" for i in range(rng.randint(1, 5))]
+    entities = [f"entity {u} user" for u in users] + [f"entity {d} doc" for d in docs]
+    rng.shuffle(entities)
+    nodes = users + docs
+    history = ["@allow:read", "@deny:read", "@allow:write", "@interest:active", "@interest:blocked"]
+    rest = []
+    for _ in range(rng.randint(0, 25)):
+        roll = rng.random()
+        if roll < 0.3:
+            rest.append(f"edge {rng.choice(users)} {rng.choice(docs)} owns")
+        elif roll < 0.5:
+            a, b = rng.choice(users), rng.choice(users)
+            rest += [f"edge {a} {b} knows"] * rng.randint(1, 2)
+            if rng.random() < 0.5:
+                rest.append(f"edge {b} {a} knows")  # flipped symmetric duplicate
+        elif roll < 0.75:
+            rest.append(f"edge {rng.choice(nodes)} {rng.choice(nodes)} {rng.choice(history)}")
+        elif roll < 0.9:
+            principals = ",".join(rng.sample(["p", "q", "r"], rng.randint(1, 3))) if rng.random() < 0.7 else "-"
+            rest.append(f"cache {rng.choice(nodes)} {rng.choice(nodes)} {rng.randint(0, 40)} {principals}")
+        elif roll < 0.95:
+            rest.append(f"epoch {rng.randint(30, 60)}")
+        else:
+            rest.append(rng.choice(["", "   ", "# comment", f"edge {rng.choice(users)} {rng.choice(docs)} owns # owner"]))
+    if rest and rng.random() < 0.5:
+        rest.append(rng.choice(rest))  # a repeated line
+    lines = entities + rest
+    # Cache and epoch lines may come before the entities they name.
+    for i, line in enumerate(lines):
+        if line.startswith(("cache", "epoch")) and rng.random() < 0.3:
+            lines.insert(rng.randint(0, i), lines.pop(i))
+    for bad in rng.sample(BAD_GRAPH_LINES, bad_lines):
+        lines.insert(rng.randint(0, len(lines)), bad)
+        if "late" in bad:
+            lines.append("entity late doc")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_graph_matches_the_per_line_loader():
+    """On random graph texts the one-pass loader builds the graph the
+    per-line reference loader builds, epoch, interest count and cache order
+    included, and rejects what it rejects with the same messages."""
+    model = parse_model(LOADER_MODEL)
+    rng = random.Random(11)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for round_ in range(600):
+        text = random_graph_text(rng, rng.choice([0, 0, 1, 2, 4]))
+        cap = rng.choice([None, None, 0, 1, 3])
+        try:
+            ref = helpers.reference_parse_graph(text, model, "g.txt", cap)
+        except FileFormatError as exc:
+            outcomes["rejected"] += 1
+            with pytest.raises(FileFormatError) as err:
+                parse_graph(text, model, "g.txt", cap)
+            assert err.value.messages == exc.messages, text
+            continue
+        outcomes["loaded"] += 1
+        g = parse_graph(text, model, "g.txt", cap)
+        assert serialize_graph(g) == serialize_graph(ref), text
+        assert g.epoch == ref.epoch
+        assert g._interest_edges == ref._interest_edges
+        assert g.cache_size() == ref.cache_size()
+        assert list(g.cache_entries()) == list(ref.cache_entries())
+        assert g.adjacency == ref.adjacency
+        for by_label in g.adjacency.values():
+            if "knows" in by_label:
+                assert by_label["knows"] is by_label["~knows"]
+    assert min(outcomes.values()) > 150, outcomes
+
+
 def test_graph_loads_system_edges():
     model = parse_model("type user\ntype doc\nrel owns\nperm user doc owns\n")
     g = parse_graph(

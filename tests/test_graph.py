@@ -10,6 +10,7 @@ from relac.errors import (
     DuplicateEntityError,
     FrozenRelationError,
     ModelError,
+    RelacError,
     SchemaViolationError,
     UnknownNodeError,
     UnknownRelationError,
@@ -19,10 +20,10 @@ from relac.graph import (
     Caching,
     DecisionAudit,
     InterestAudit,
-    Relationship,
     SystemGraph,
     SystemModel,
     allow_label,
+    kind_from_label,
     reverse_label,
 )
 
@@ -84,9 +85,11 @@ def test_add_entity_rejects_exactly_the_ids_with_whitespace():
         for node in (ch, f"a{ch}b", f"{ch}a", f"a{ch}"):
             with pytest.raises(ModelError):
                 g.add_entity(node, "user")
-    for node in ("", "@u", "#u", "~u"):
+    # ``#`` starts a comment anywhere on a graph-file line
+    for node in ("", "@u", "#u", "~u", "u#1", "u#"):
         with pytest.raises(ModelError):
             g.add_entity(node, "user")
+    assert len(g) == 0 and g.epoch == 0
     # characters next to the whitespace ranges are ordinary id characters
     for node in ("a\x08b", "a\x0eb", "a\u200bb", "a\u3001b"):
         g.add_entity(node, "user")
@@ -203,8 +206,6 @@ def test_record_typed_edge_dedup_and_errors():
     assert g.record_typed_edge("u1", "d1", kind) is False
     assert g.neighbors("u1", allow_label("grade")) == {"d1"}
     assert g.neighbors("d1", reverse_label(allow_label("grade"))) == {"u1"}
-    with pytest.raises(ValueError):
-        g.record_typed_edge("u1", "d1", Relationship("owns"))
     with pytest.raises(UnknownNodeError):
         g.record_typed_edge("u1", "ghost", kind)
 
@@ -249,8 +250,6 @@ def test_record_typed_edges_unknown_target_changes_nothing():
         g.record_typed_edges("u1", ["d1", "d2", "ghost"], kind)
     with pytest.raises(UnknownNodeError):
         g.record_typed_edges("ghost", ["d1"], kind)
-    with pytest.raises(ValueError):
-        g.record_typed_edges("u1", ["d1"], Relationship("owns"))
     with pytest.raises(ValueError):
         g.record_typed_edges("u1", ["d1"], Caching(frozenset()))
     assert g.adjacency == before
@@ -339,6 +338,59 @@ def test_frozen_relation_after_first_bulk_interest_write():
     assert g.record_typed_edges("u1", ["d1", "u2"], InterestAudit(blocked=True)) == 2
     with pytest.raises(FrozenRelationError):
         g.add_relationship("u2", "u1", "knows")
+
+
+def add_one(g: SystemGraph, item: tuple) -> None:
+    """What ``add_many`` must do with one item, by the single-item methods."""
+    if len(item) == 3:
+        g.add_entity(item[1], item[2])
+    elif len(item) == 5:
+        g.record_typed_edge(item[1], item[2], Caching(item[3], item[4]))
+    elif item[3].startswith("@"):
+        g.record_typed_edge(item[1], item[2], kind_from_label(item[3]))
+    else:
+        g.add_relationship(item[1], item[2], item[3])
+
+
+def test_add_many_equals_single_item_calls():
+    """Random item streams, with a frozen relation, caching edges stamped
+    at the current epoch and every kind of bad item, leave the graph as the
+    single-item methods do and reject the same items with the same errors."""
+    rng = random.Random(3)
+    nodes = ["u1", "u2", "u3", "d1", "d2", "ghost"]
+    labels = ["owns", "knows", "likes", "~owns", "@allow:read", "@interest:active",
+              "@interest:blocked", "@bogus"]
+    for _ in range(300):
+        items = [(pos, v, "user" if v[0] == "u" else "doc")
+                 for pos, v in enumerate(rng.sample(nodes[:5], rng.randint(0, 5)))]
+        for pos in range(len(items), rng.randint(0, 40)):
+            roll = rng.random()
+            if roll < 0.25:
+                node = rng.choice(nodes + ["@x", "u#1", "u 1"])
+                items.append((pos, node, rng.choice(["user", "user", "doc", "robot"])))
+            elif roll < 0.85:
+                items.append((pos, rng.choice(nodes), rng.choice(nodes), rng.choice(labels)))
+            else:
+                principals = frozenset(rng.sample(["p", "q"], rng.randint(0, 2)))
+                items.append((pos, rng.choice(nodes), rng.choice(nodes), principals,
+                              rng.choice([None, rng.randint(0, 9)])))
+        cap = rng.choice([None, 1])
+        g, ref = SystemGraph(simple_model(), cap), SystemGraph(simple_model(), cap)
+        if rng.random() < 0.5:
+            g.freeze_relation("knows")
+            ref.freeze_relation("knows")
+        expected = []
+        for item in items:
+            try:
+                add_one(ref, item)
+            except (RelacError, ValueError) as exc:
+                expected.append((item[0], type(exc), str(exc)))
+        rejected = g.add_many(iter(items))
+        assert [(pos, type(exc), str(exc)) for pos, exc in rejected] == expected
+        assert g.adjacency == ref.adjacency
+        assert g.epoch == ref.epoch
+        assert g._interest_edges == ref._interest_edges
+        assert list(g.cache_entries()) == list(ref.cache_entries())
 
 
 # --- validation ------------------------------------------------------------------
