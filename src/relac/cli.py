@@ -112,9 +112,7 @@ def cmd_eval(ws: Workspace, subject: str, obj: str, action: str) -> int:
 
 def cmd_batch(ws: Workspace, requests_path: Path) -> int:
     evaluator, _ = ws.load()
-    entries = fileformat.parse_requests(
-        requests_path.read_text(encoding="utf-8"), str(requests_path)
-    )
+    entries = fileformat.parse_requests(requests_path.read_text(encoding="utf-8"))
     allows = denies = errors = 0
     for lineno, entry in entries:
         if isinstance(entry, str):
@@ -147,9 +145,7 @@ def cmd_batch(ws: Workspace, requests_path: Path) -> int:
 
 def cmd_warm(ws: Workspace, pairs_path: Path) -> int:
     evaluator, _ = ws.load()
-    entries = fileformat.parse_pairs(
-        pairs_path.read_text(encoding="utf-8"), str(pairs_path)
-    )
+    entries = fileformat.parse_pairs(pairs_path.read_text(encoding="utf-8"))
     errors = 0
     written = 0
     for lineno, entry in entries:
@@ -232,7 +228,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_batch(ws, args.requests)
         if args.command == "warm":
             return cmd_warm(ws, args.pairs)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # An input that cannot be read as text: missing, a directory, not
+        # UTF-8.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except FileFormatError as exc:

@@ -144,13 +144,14 @@ class HistoryConfig:
 
 
 @dataclass
-class EvalStats:
+class EvalStats(SearchStats):
+    """Evaluator counters; product searches count straight into the
+    inherited ``product_visits`` and ``searches``."""
+
     evaluations: int = 0
     principal_computations: int = 0
     cache_hits: int = 0
     cache_writes: int = 0
-    product_visits: int = 0
-    searches: int = 0
 
 
 class Evaluator:
@@ -268,14 +269,13 @@ class Evaluator:
                 return hit, True
             if lines is not None:
                 lines.append("cache miss")
-        stats = SearchStats()
+        stats = self.stats
+        visits = stats.product_visits
         matched = match_principals(g, self.pmp, s, o, stats=stats, trace=lines)
-        self.stats.principal_computations += 1
-        self.stats.product_visits += stats.product_visits
-        self.stats.searches += stats.searches
+        stats.principal_computations += 1
         if lines is not None:
             lines.append(f"matched principals: {{{','.join(sorted(matched))}}}")
-            lines.append(f"product-state visits: {stats.product_visits}")
+            lines.append(f"product-state visits: {stats.product_visits - visits}")
         return matched, False
 
     # -- history writeback
@@ -474,15 +474,11 @@ def warm_cache(
         if g.lookup_cache(subject, obj) is not None:
             continue
         epoch = g.epoch
-        search = SearchStats()
-        matched = match_principals(g, pmp, subject, obj, stats=search)
-        if stats is not None:
-            stats.principal_computations += 1
-            stats.product_visits += search.product_visits
-            stats.searches += search.searches
+        matched = match_principals(g, pmp, subject, obj, stats=stats)
         with g.write_lock():
             g.record_typed_edge(subject, obj, Caching(matched, epoch))
         if stats is not None:
+            stats.principal_computations += 1
             stats.cache_writes += 1
         written += 1
     return written

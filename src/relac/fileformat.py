@@ -483,22 +483,21 @@ def load_policy(path: str | Path, model: SystemModel) -> ParsedPolicy:
 
 # --- request / pair batches ---------------------------------------------------
 
-def parse_requests(text: str, source: str = "<requests>") -> list[tuple[int, tuple[str, str, str] | str]]:
+def _rows(text: str, fields: tuple[str, ...]) -> list[tuple[int, tuple[str, ...] | str]]:
+    """Per line: (lineno, one token per field) or (lineno, error text)."""
+    usage = " ".join(f"<{name}>" for name in fields)
+    return [
+        (lineno, tuple(tokens)) if len(tokens) == len(fields)
+        else (lineno, f"expected: {usage}, got {' '.join(tokens)!r}")
+        for lineno, tokens, _ in _lines(text)
+    ]
+
+
+def parse_requests(text: str) -> list[tuple[int, tuple[str, str, str] | str]]:
     """Per line: (lineno, (subject, object, action)) or (lineno, error text)."""
-    out: list[tuple[int, tuple[str, str, str] | str]] = []
-    for lineno, tokens, _ in _lines(text):
-        if len(tokens) == 3:
-            out.append((lineno, (tokens[0], tokens[1], tokens[2])))
-        else:
-            out.append((lineno, f"expected: <subject> <object> <action>, got {' '.join(tokens)!r}"))
-    return out
+    return _rows(text, ("subject", "object", "action"))
 
 
-def parse_pairs(text: str, source: str = "<pairs>") -> list[tuple[int, tuple[str, str] | str]]:
-    out: list[tuple[int, tuple[str, str] | str]] = []
-    for lineno, tokens, _ in _lines(text):
-        if len(tokens) == 2:
-            out.append((lineno, (tokens[0], tokens[1])))
-        else:
-            out.append((lineno, f"expected: <subject> <object>, got {' '.join(tokens)!r}"))
-    return out
+def parse_pairs(text: str) -> list[tuple[int, tuple[str, str] | str]]:
+    """Per line: (lineno, (subject, object)) or (lineno, error text)."""
+    return _rows(text, ("subject", "object"))

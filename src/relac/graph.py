@@ -66,17 +66,6 @@ def reverse_label(label: str) -> str:
 _NO_NEIGHBORS: frozenset[str] = frozenset()
 
 
-def _bucket(by_label: dict[str, set[str]], label: str, alias: str | None = None) -> set[str]:
-    """The neighbor set under ``label``, created on first use; ``alias``
-    binds a second label to the same set object."""
-    bucket = by_label.get(label)
-    if bucket is None:
-        bucket = by_label[label] = set()
-        if alias is not None:
-            by_label[alias] = bucket
-    return bucket
-
-
 def _valid_id(node: str) -> bool:
     """One graph-file token: no whitespace (``split`` breaks on exactly the
     characters ``isspace`` accepts), no ``#``, which starts a comment, and
@@ -117,14 +106,22 @@ class SystemModel:
             if r not in self.relations:
                 raise UnknownRelationError(f"permissible triple ({tf},{tt},{r}) references unknown relation")
 
+    @cached_property
+    def _permitted(self) -> frozenset[tuple[str, str, str]]:
+        """Every permitted (from-type, to-type, traversal label): each
+        canonical triple, its reverse view, and for a symmetric relation the
+        flipped order under both labels."""
+        permitted = set()
+        for tf, tt, r in self.permissible:
+            permitted |= {(tf, tt, r), (tt, tf, "~" + r)}
+            if r in self.symmetric:
+                permitted |= {(tt, tf, r), (tf, tt, "~" + r)}
+        return frozenset(permitted)
+
     def permits(self, from_type: str, to_type: str, label: str) -> bool:
         """Schema check for a traversal label; reverse labels are the derived
         view of the canonical triples, symmetric labels permit either order."""
-        if label.startswith("~"):
-            return self.permits(to_type, from_type, label[1:])
-        if (from_type, to_type, label) in self.permissible:
-            return True
-        return label in self.symmetric and (to_type, from_type, label) in self.permissible
+        return (from_type, to_type, label) in self._permitted
 
 
 # --- edge kinds -----------------------------------------------------------------
@@ -210,7 +207,8 @@ class SystemGraph:
         # node -> traversal label -> neighbors. A symmetric relation keeps
         # both directions in one set per node, bound to both ``r`` and ``~r``.
         self._adj: dict[str, dict[str, set[str]]] = {}
-        self._reverse = {r: "~" + r for r in model.relations}
+        # relation -> (reverse label, whether both labels share one set)
+        self._relations = {r: ("~" + r, r in model.symmetric) for r in model.relations}
         self._cache: OrderedDict[tuple[str, str], tuple[frozenset[str], int]] = OrderedDict()
         self._frozen_relations: set[str] = set()
         self._interest_edges = 0
@@ -280,18 +278,9 @@ class SystemGraph:
                     f"({self._types[from_node]},{self._types[to_node]},{relation}) "
                     "is not a permissible relationship"
                 )
-            adj_from, adj_to = self._adj[from_node], self._adj[to_node]
-            # A symmetric set holds both directions, so this also catches
-            # the flipped form of a symmetric edge.
-            if to_node in adj_from.get(relation, _NO_NEIGHBORS):
+            reverse, shared = self._relations[relation]
+            if not self._link(from_node, to_node, relation, reverse, shared):
                 return False
-            reverse = self._reverse[relation]
-            if relation in self.model.symmetric:
-                _bucket(adj_from, relation, reverse).add(to_node)
-                _bucket(adj_to, relation, reverse).add(from_node)
-            else:
-                _bucket(adj_from, relation).add(to_node)
-                _bucket(adj_to, reverse).add(from_node)
             self._epoch += 1
             return True
 
@@ -305,21 +294,11 @@ class SystemGraph:
                 self._require(from_node)
                 self._require(to_node)
             if isinstance(kind, Caching):
-                key = (from_node, to_node)
-                cache = self._cache
-                epoch = self._epoch if kind.epoch is None else kind.epoch
-                cache[key] = (frozenset(kind.principals), epoch)
-                cache.move_to_end(key)
-                if self.cache_capacity is not None:
-                    while len(cache) > self.cache_capacity:
-                        cache.popitem(last=False)
+                self._store_cache(from_node, to_node, kind.principals, kind.epoch)
                 return True
             label = kind.label
-            targets = _bucket(adj[from_node], label)
-            if to_node in targets:
+            if not self._link(from_node, to_node, label, "~" + label, False):
                 return False
-            targets.add(to_node)
-            _bucket(adj[to_node], "~" + label).add(from_node)
             if isinstance(kind, InterestAudit):
                 self._interest_edges += 1
             return True
@@ -342,13 +321,10 @@ class SystemGraph:
                 for node in wanted:
                     self._require(node)
             label = kind.label
-            new = wanted - adj[from_node].get(label, _NO_NEIGHBORS)
-            if not new:
-                return 0
-            _bucket(adj[from_node], label).update(new)
             reverse = "~" + label
+            new = wanted - adj[from_node].get(label, _NO_NEIGHBORS)
             for node in new:
-                _bucket(adj[node], reverse).add(from_node)
+                self._link(from_node, node, label, reverse, False)
             if isinstance(kind, InterestAudit):
                 self._interest_edges += len(new)
             return len(new)
@@ -365,9 +341,9 @@ class SystemGraph:
         rejected item, in order, with the error that method raises; a
         rejected item changes nothing.
 
-        The schema check runs once per distinct (from-type, to-type,
-        relation) and history labels are parsed once each; an item that
-        fails a check goes to its single-item method, which raises."""
+        The schema check is one set lookup and history labels are parsed
+        once each; an item that fails a check goes to its single-item
+        method, which raises."""
         rejected: list[tuple[object, Exception]] = []
 
         def reject(pos: object, insert, *args) -> None:
@@ -383,14 +359,14 @@ class SystemGraph:
                 self.add_relationship(frm, to, label)
 
         model = self.model
-        symmetric = model.symmetric
-        types, adj, cache = self._types, self._adj, self._cache
+        types, adj, link = self._types, self._adj, self._link
         frozen = self._frozen_relations
-        permitted: dict[tuple[str | None, str | None, str], bool] = {}
+        permitted = model._permitted
         # label -> (reverse label, one set shared with it, relation,
         # interest edge); relations up front, history labels once parsed.
         labels: dict[str, tuple[str, bool, bool, bool]] = {
-            r: ("~" + r, r in symmetric, True, False) for r in model.relations
+            r: (reverse, shared, True, False)
+            for r, (reverse, shared) in self._relations.items()
         }
         with self._lock:
             for item in items:
@@ -409,34 +385,16 @@ class SystemGraph:
                         continue
                     reverse, shared, relation, interest = info
                     if relation:
-                        key = (types.get(frm), types.get(to), label)
-                        ok = permitted.get(key)
-                        if ok is None:
-                            ok = permitted[key] = (
-                                None not in key and model.permits(*key)
-                            )
-                        if not ok or (frozen and label in frozen and self._interest_edges):
+                        if (types.get(frm), types.get(to), label) not in permitted or (
+                            frozen and label in frozen and self._interest_edges
+                        ):
                             reject(pos, add_edge, frm, to, label)
                             continue
                     elif frm not in adj or to not in adj:
                         reject(pos, add_edge, frm, to, label)
                         continue
-                    by_label = adj[frm]
-                    targets = by_label.get(label)
-                    if targets is None:
-                        targets = by_label[label] = set()
-                        if shared:
-                            by_label[reverse] = targets
-                    elif to in targets:
+                    if not link(frm, to, label, reverse, shared):
                         continue
-                    targets.add(to)
-                    by_label = adj[to]
-                    sources = by_label.get(reverse)
-                    if sources is None:
-                        sources = by_label[reverse] = set()
-                        if shared:
-                            by_label[label] = sources
-                    sources.add(frm)
                     if relation:
                         self._epoch += 1
                     elif interest:
@@ -454,13 +412,47 @@ class SystemGraph:
                     if s not in adj or o not in adj:
                         reject(pos, self.record_typed_edge, s, o, Caching(principals, epoch))
                         continue
-                    key = (s, o)
-                    cache[key] = (frozenset(principals), self._epoch if epoch is None else epoch)
-                    cache.move_to_end(key)
-                    if self.cache_capacity is not None:
-                        while len(cache) > self.cache_capacity:
-                            cache.popitem(last=False)
+                    self._store_cache(s, o, principals, epoch)
         return rejected
+
+    def _link(self, frm: str, to: str, label: str, reverse: str, shared: bool) -> bool:
+        """Enter ``frm -label-> to`` and ``to -reverse-> frm`` in the
+        adjacency index, the one place that does. ``shared`` binds both
+        labels to one set per node, as a symmetric relation needs, so the
+        flipped edge counts as present too. Returns False, changing nothing,
+        for an edge already there. The caller holds the lock and has checked
+        both nodes."""
+        by_label = self._adj[frm]
+        targets = by_label.get(label)
+        if targets is None:
+            targets = by_label[label] = set()
+            if shared:
+                by_label[reverse] = targets
+        elif to in targets:
+            return False
+        targets.add(to)
+        by_label = self._adj[to]
+        sources = by_label.get(reverse)
+        if sources is None:
+            sources = by_label[reverse] = set()
+            if shared:
+                by_label[label] = sources
+        sources.add(frm)
+        return True
+
+    def _store_cache(
+        self, subject: str, obj: str, principals: Iterable[str], epoch: int | None
+    ) -> None:
+        """Write the pair's caching edge, stamped with ``epoch`` or, when
+        unset, the current epoch, as the newest entry; a capped cache then
+        evicts its oldest entries. The caller holds the lock."""
+        key = (subject, obj)
+        cache = self._cache
+        cache[key] = (frozenset(principals), self._epoch if epoch is None else epoch)
+        cache.move_to_end(key)
+        if self.cache_capacity is not None:
+            while len(cache) > self.cache_capacity:
+                cache.popitem(last=False)
 
     def invalidate_caches(self) -> None:
         """Advance the epoch so every caching edge becomes stale. Called by

@@ -129,8 +129,12 @@ class Pmp:
                         f"default rule (all, none, {rule.principal}) must be last "
                         f"in a list policy (found at position {i})"
                     )
+        # Rules are tried in ``_order`` (topological for a dag); ``_preds``
+        # holds each rule's dag parents, none outside dags.
         if shape is PmpShape.DAG:
-            self._preds, self._topo = self._check_dag()
+            self._preds, self._order = self._check_dag()
+        else:
+            self._preds, self._order = [()] * len(self.rules), range(len(self.rules))
         # Per rule: mandated automaton, precluded automaton, and whether the
         # precluded target is ``none`` (then there is nothing to check).
         self._compiled: list[tuple[Nfa | None, Nfa | None, bool]] = [
@@ -222,37 +226,25 @@ def match_principals(
     trace: list[str] | None = None,
 ) -> frozenset[str]:
     """The matched-principal set of a pair under the policy's shape
-    semantics (see :class:`Pmp`); the null principal never escapes."""
+    semantics (see :class:`Pmp`); the null principal never escapes. A rule
+    is tried only when each of its dag parents applied, which is
+    "applicable on every root path"; a list stops at its first match."""
     g.node_type(subject)
     g.node_type(obj)
-    if pmp.shape is PmpShape.LIST:
-        for i in range(len(pmp.rules)):
-            if pmp.applicable(g, i, subject, obj, stats=stats, trace=trace):
-                return frozenset({pmp.rules[i].principal})
-        return frozenset()
-    if pmp.shape is PmpShape.SET:
-        return frozenset(
-            pmp.rules[i].principal
-            for i in range(len(pmp.rules))
-            if pmp.applicable(g, i, subject, obj, stats=stats, trace=trace)
-        )
-    # DAG: a rule is only evaluated when every predecessor is enabled and
-    # applicable, which is equivalent to "applicable on every root path".
-    applicable: dict[int, bool] = {}
-
-    def check(i: int) -> bool:
-        if i not in applicable:
-            applicable[i] = pmp.applicable(g, i, subject, obj, stats=stats, trace=trace)
-        return applicable[i]
-
-    enabled: dict[int, bool] = {}
-    matched = set()
-    for i in pmp._topo:
-        preds = pmp._preds[i]
-        enabled[i] = all(enabled[p] and check(p) for p in preds)
-        if enabled[i] and check(i):
+    first_only = pmp.shape is PmpShape.LIST
+    preds = pmp._preds
+    applied = [False] * len(pmp.rules)
+    matched: set[str] = set()
+    for i in pmp._order:
+        if (not preds[i] or all(applied[p] for p in preds[i])) and pmp.applicable(
+            g, i, subject, obj, stats=stats, trace=trace
+        ):
+            applied[i] = True
             matched.add(pmp.rules[i].principal)
-    return frozenset(matched - {NULL_PRINCIPAL})
+            if first_only:
+                break
+    matched.discard(NULL_PRINCIPAL)
+    return frozenset(matched)
 
 
 # --- authorization -----------------------------------------------------------

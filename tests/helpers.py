@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from relac.automata import Nfa, compile_condition, reachable_accepting
+from relac.automata import Nfa, SearchStats, compile_condition, reachable_accepting
 from relac.engine import ChineseWallConfig, EvalResult, Evaluator, HistoryConfig, Request
 from relac.errors import NotSimpleError, RelacError
 from relac.fileformat import _Collector, parse_graph, parse_model, parse_policy
@@ -29,11 +29,13 @@ from relac.pathcond import (
     to_text,
 )
 from relac.policy import (
+    NULL_PRINCIPAL,
     Decision,
     DefaultStage,
     DefaultTable,
     ExtendedAuthPolicy,
     Pmp,
+    PmpShape,
     collect_decisions,
     resolve_conflicts,
 )
@@ -351,6 +353,62 @@ def graph_accepts(g: SystemGraph, start: str, accept: str, word: Iterable[str]) 
         if not frontier:
             return False
     return accept in frontier
+
+
+# --- reference rules ------------------------------------------------------------
+#
+# Rule-by-rule versions of the principal-matching loop and the schema check;
+# tests require the library's answers to equal theirs.
+
+def reference_match_principals(
+    g: SystemGraph,
+    pmp: Pmp,
+    subject: str,
+    obj: str,
+    *,
+    stats: SearchStats | None = None,
+    trace: list[str] | None = None,
+) -> frozenset[str]:
+    """One branch per policy shape: the first applicable rule of a list,
+    every applicable rule of a set, and for a dag each rule whose
+    predecessors are all enabled and applicable, in topological order."""
+    g.node_type(subject)
+    g.node_type(obj)
+    if pmp.shape is PmpShape.LIST:
+        for i in range(len(pmp.rules)):
+            if pmp.applicable(g, i, subject, obj, stats=stats, trace=trace):
+                return frozenset({pmp.rules[i].principal})
+        return frozenset()
+    if pmp.shape is PmpShape.SET:
+        return frozenset(
+            pmp.rules[i].principal
+            for i in range(len(pmp.rules))
+            if pmp.applicable(g, i, subject, obj, stats=stats, trace=trace)
+        )
+    applicable: dict[int, bool] = {}
+
+    def check(i: int) -> bool:
+        if i not in applicable:
+            applicable[i] = pmp.applicable(g, i, subject, obj, stats=stats, trace=trace)
+        return applicable[i]
+
+    enabled: dict[int, bool] = {}
+    matched = set()
+    for i in pmp._order:
+        enabled[i] = all(enabled[p] and check(p) for p in pmp._preds[i])
+        if enabled[i] and check(i):
+            matched.add(pmp.rules[i].principal)
+    return frozenset(matched - {NULL_PRINCIPAL})
+
+
+def reference_permits(model: SystemModel, from_type: str, to_type: str, label: str) -> bool:
+    """The schema check by recursion: a reverse label flips the canonical
+    triple, a symmetric relation also permits the flipped order."""
+    if label.startswith("~"):
+        return reference_permits(model, to_type, from_type, label[1:])
+    if (from_type, to_type, label) in model.permissible:
+        return True
+    return label in model.symmetric and (to_type, from_type, label) in model.permissible
 
 
 # --- reference writers ------------------------------------------------------------

@@ -126,6 +126,34 @@ def test_validate_missing_file(course_files, capsys):
     assert main(["validate", *common(course_files)]) == 2
 
 
+def assert_one_error_line(done: subprocess.CompletedProcess) -> None:
+    """Exit 2, the error code, with one ``error:`` line and no traceback."""
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "batch"])
+def test_graph_file_that_is_not_utf8_is_an_error(course_files, tmp_path, command):
+    graph = Path(course_files["graph"])
+    graph.write_bytes(graph.read_bytes() + b"\xff\xfe")
+    requests = tmp_path / "requests.txt"
+    requests.write_text("u1 a1 read\n")
+    extra = [str(requests)] if command == "batch" else []
+    done = run_relac(command, *common(course_files), *extra)
+    assert_one_error_line(done)
+    assert "utf-8" in done.stderr
+    assert done.stdout == ""
+
+
+def test_batch_requests_path_that_is_a_directory_is_an_error(course_files, tmp_path):
+    done = run_relac("batch", *common(course_files), str(tmp_path))
+    assert_one_error_line(done)
+    assert str(tmp_path) in done.stderr
+    assert done.stdout == ""
+
+
 # --- eval ------------------------------------------------------------------------
 
 def test_eval_allow_exit_zero(course_files, capsys):

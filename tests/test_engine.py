@@ -7,6 +7,7 @@ import pytest
 import helpers
 import relac.engine
 from helpers import evaluate, random_graph
+from relac.automata import SearchStats
 from relac.engine import (
     DecisionSource,
     Evaluator,
@@ -36,6 +37,7 @@ from relac.policy import (
     PmRule,
     Pmp,
     PmpShape,
+    match_principals,
 )
 
 ALLOW, DENY = Decision.ALLOW, Decision.DENY
@@ -141,6 +143,18 @@ def test_trace_lines(course):
     assert "crs deny-overrides -> allow" in text
     again = ev.evaluate(Request("u1", "a3", "grade"), trace=True)
     assert any("cache hit" in line for line in again.trace)
+
+
+def test_trace_counts_each_request_own_visits(course):
+    ev = course_evaluator(course)
+    visits = [
+        int(line.rpartition(" ")[2])
+        for _ in range(2)
+        for line in ev.evaluate(Request("u1", "a3", "read"), trace=True).trace
+        if line.startswith("product-state visits: ")
+    ]
+    assert visits[0] == visits[1] > 0
+    assert ev.stats.product_visits == sum(visits)
 
 
 # --- caching ---------------------------------------------------------------------
@@ -559,6 +573,29 @@ def test_target_filter_flag_changes_nothing(shape):
         assert runs[0] == runs[1]
         cache_hits += sum(r[3] for r in runs[0][0])
     assert cache_hits > 0
+
+
+@pytest.mark.parametrize("shape", [PmpShape.SET, PmpShape.LIST, PmpShape.DAG])
+def test_matching_loop_equals_the_per_shape_reference(shape):
+    """On random instances, for every pair, the one matching loop and the
+    per-shape reference give the same matched set, try the same rules in
+    the same order with the same verdicts (their ``rule`` trace lines) and
+    count the same searches and product-state visits."""
+    rng = random.Random(f"loop-{shape.value}")
+    tried = 0
+    for _ in range(60):
+        g, pmp, _, _, nodes = _random_policy_instance(rng, shape)
+        for s in nodes:
+            for o in nodes:
+                runs = []
+                for match in (match_principals, helpers.reference_match_principals):
+                    stats, trace = SearchStats(), []
+                    matched = match(g, pmp, s, o, stats=stats, trace=trace)
+                    runs.append((matched, trace, stats))
+                assert runs[0] == runs[1], (pmp, s, o)
+                assert all(line.startswith("rule ") for line in runs[0][1])
+                tried += len(runs[0][1])
+    assert tried > 0
 
 
 # --- concurrency ----------------------------------------------------------------

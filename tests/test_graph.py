@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import random_graph
+from helpers import random_graph, reference_permits
 from relac.errors import (
     DuplicateEntityError,
     FrozenRelationError,
@@ -53,6 +53,34 @@ def test_model_rejects_dangling_permissible():
         simple_model(permissible=frozenset({("ghost", "doc", "owns")}))
     with pytest.raises(UnknownRelationError):
         simple_model(permissible=frozenset({("user", "doc", "ghost")}))
+
+
+def test_permits_equals_the_recursive_reference():
+    """On random models with symmetric relations, ``permits`` answers every
+    (from-type, to-type, label) for ``r`` and ``~r`` as the recursive
+    reference does."""
+    rng = random.Random(8)
+    answers = set()
+    for _ in range(200):
+        types = [f"t{i}" for i in range(rng.randint(1, 4))]
+        relations = [f"r{i}" for i in range(rng.randint(1, 4))]
+        model = SystemModel(
+            types=frozenset(types),
+            relations=frozenset(relations),
+            symmetric=frozenset(r for r in relations if rng.random() < 0.5),
+            permissible=frozenset(
+                (rng.choice(types), rng.choice(types), rng.choice(relations))
+                for _ in range(rng.randint(0, 8))
+            ),
+        )
+        for tf in types:
+            for tt in types:
+                for r in relations:
+                    for label in (r, reverse_label(r)):
+                        want = reference_permits(model, tf, tt, label)
+                        assert model.permits(tf, tt, label) == want, (model, tf, tt, label)
+                        answers.add(want)
+    assert answers == {True, False}
 
 
 def test_model_permits_reverse_and_symmetric_views():
