@@ -5,18 +5,14 @@ mapped to principals by matching path conditions between subject and object
 in the system graph, and the principals' authorization rules decide the
 request. Decisions can feed back into the graph as typed history edges,
 which is enough to express caching, separation of duty and Chinese Wall.
+
+The package exports the names the README's example imports, plus
+:class:`RelacError`; everything else lives in its submodule.
 """
 
 from .errors import RelacError
-from .graph import (
-    Caching,
-    DecisionAudit,
-    InterestAudit,
-    SystemGraph,
-    SystemModel,
-)
-from .pathcond import ALL, NONE, PathTarget, parse, simplify, to_text
-from .automata import Nfa, compile_condition, matches
+from .graph import SystemGraph, SystemModel
+from .pathcond import ALL, NONE, PathTarget, parse
 from .policy import (
     AuthRule,
     Crs,
@@ -26,18 +22,8 @@ from .policy import (
     PmRule,
     Pmp,
     PmpShape,
-    match_principals,
 )
-from .engine import (
-    ChineseWallConfig,
-    EvalResult,
-    Evaluator,
-    HistoryConfig,
-    Request,
-    build_chinese_wall_rules,
-    build_sod_policy,
-    warm_cache,
-)
+from .engine import Evaluator, HistoryConfig, Request
 
 __version__ = "0.1.0"
 
@@ -45,18 +31,10 @@ __all__ = [
     "RelacError",
     "SystemModel",
     "SystemGraph",
-    "Caching",
-    "DecisionAudit",
-    "InterestAudit",
     "parse",
-    "simplify",
-    "to_text",
     "ALL",
     "NONE",
     "PathTarget",
-    "Nfa",
-    "compile_condition",
-    "matches",
     "Decision",
     "Crs",
     "PmpShape",
@@ -65,14 +43,8 @@ __all__ = [
     "AuthRule",
     "ExtendedAuthPolicy",
     "DefaultTable",
-    "match_principals",
     "Request",
-    "EvalResult",
     "Evaluator",
     "HistoryConfig",
-    "ChineseWallConfig",
-    "build_sod_policy",
-    "build_chinese_wall_rules",
-    "warm_cache",
     "__version__",
 ]

@@ -75,11 +75,7 @@ def cmd_validate(ws: Workspace) -> int:
             print(message, file=sys.stderr)
         return EXIT_FAIL
     try:
-        graph = fileformat.load_graph(ws.graph_path, model, ws.cache_capacity)
-        problems = graph.validate()
-        for issue in problems:
-            print(f"{ws.graph_path}: {issue}", file=sys.stderr)
-            clean = False
+        fileformat.load_graph(ws.graph_path, model, ws.cache_capacity)
     except FileFormatError as exc:
         for message in exc.messages:
             print(message, file=sys.stderr)
@@ -112,7 +108,7 @@ def cmd_eval(ws: Workspace, subject: str, obj: str, action: str) -> int:
 
 def cmd_batch(ws: Workspace, requests_path: Path) -> int:
     evaluator, _ = ws.load()
-    entries = fileformat.parse_requests(requests_path.read_text(encoding="utf-8"))
+    entries = fileformat.parse_requests(fileformat.read_text(requests_path))
     allows = denies = errors = 0
     for lineno, entry in entries:
         if isinstance(entry, str):
@@ -145,7 +141,7 @@ def cmd_batch(ws: Workspace, requests_path: Path) -> int:
 
 def cmd_warm(ws: Workspace, pairs_path: Path) -> int:
     evaluator, _ = ws.load()
-    entries = fileformat.parse_pairs(pairs_path.read_text(encoding="utf-8"))
+    entries = fileformat.parse_pairs(fileformat.read_text(pairs_path))
     errors = 0
     written = 0
     for lineno, entry in entries:
@@ -228,9 +224,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_batch(ws, args.requests)
         if args.command == "warm":
             return cmd_warm(ws, args.pairs)
-    except (OSError, UnicodeDecodeError) as exc:
-        # An input that cannot be read as text: missing, a directory, not
-        # UTF-8.
+    except OSError as exc:
+        # An input that cannot be read: missing, a directory. One that is
+        # not UTF-8 is a RelacError that names the file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except FileFormatError as exc:

@@ -8,7 +8,9 @@ cascade. Around that core this module layers the history machinery:
 
 * caching edges store a pair's matched principals, stamped with the graph
   epoch read before matching, so repeat pairs skip principal matching
-  while fresh and a write that lands mid-match leaves the entry stale;
+  while fresh and a write that lands mid-match leaves the entry stale; they
+  belong to the principal-matching policy that computed them, and an
+  evaluator with another policy drops them before it uses the cache;
 * decision audit edges record each (subject, object, action) outcome once,
   giving path conditions access to past decisions (separation of duty);
 * interest audit edges mark a subject's active interest in a company and
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .automata import (
@@ -86,7 +89,6 @@ __all__ = [
     "build_sod_policy",
     "build_chinese_wall_rules",
     "interest_writeback",
-    "warm_cache",
 ]
 
 
@@ -135,6 +137,11 @@ class ChineseWallConfig:
             if not is_simple(p):
                 raise PolicyError("chinese-wall paths must be simple; run simplify first")
 
+    @cached_property
+    def object_nfas(self) -> tuple[Nfa, ...]:
+        """The object paths' automata, compiled once."""
+        return tuple(compile_condition(p) for p in self.object_paths)
+
 
 @dataclass(frozen=True)
 class HistoryConfig:
@@ -157,10 +164,12 @@ class EvalStats(SearchStats):
 class Evaluator:
     """Binds a graph to a policy pair plus history configuration.
 
-    Policies are immutable after load; swap them with :meth:`replace_policy`,
-    which invalidates cached matched-principal sets. Every request computes
-    its matched principals with :func:`match_principals`, so results and
-    caching edges are the same for every policy shape. ``target_filter`` is
+    Policies are immutable; to change one, make a new evaluator. Every
+    request computes its matched principals with :func:`match_principals`,
+    so results and caching edges are the same for every policy shape.
+    Before it reads or writes caching edges an evaluator claims them for its
+    principal-matching policy (:meth:`SystemGraph.claim_caches`), so entries
+    computed under another policy are never read. ``target_filter`` is
     accepted for compatibility and ignored.
     """
 
@@ -181,23 +190,8 @@ class Evaluator:
         self.config = config
         self.stats = EvalStats()
         self._pmp_labels = _pmp_alphabet(pmp)
-        self._cw_object_nfas: tuple[Nfa, ...] = ()
         if config.chinese_wall is not None:
-            self._cw_object_nfas = tuple(
-                compile_condition(p) for p in config.chinese_wall.object_paths
-            )
             graph.freeze_relation(config.chinese_wall.membership_relation)
-
-    def replace_policy(self, pmp: Pmp, policy: ExtendedAuthPolicy) -> None:
-        """Swap policies. A new principal-matching policy invalidates every
-        caching edge; swapping only the authorization side keeps them, since
-        caching edges store matched principals, not decisions."""
-        pmp_changed = pmp is not self.pmp
-        self.pmp = pmp
-        self.policy = policy
-        self._pmp_labels = _pmp_alphabet(pmp)
-        if pmp_changed:
-            self.graph.invalidate_caches()
 
     # -- evaluation
 
@@ -258,9 +252,12 @@ class Evaluator:
     def _matched(
         self, s: str, o: str, lines: list[str] | None
     ) -> tuple[frozenset[str], bool]:
-        """Returns (matched set, came from cache)."""
+        """Returns (matched set, came from cache). The claim covers this
+        request's cache write too: a caching evaluator is a writer, so no
+        other evaluation of the graph runs in between."""
         g = self.graph
         if self.config.caching_enabled:
+            g.claim_caches(self.pmp.fingerprint)
             hit = g.lookup_cache(s, o)
             if hit is not None:
                 self.stats.cache_hits += 1
@@ -311,9 +308,7 @@ class Evaluator:
             invalidate = False
             added: list[str] = []
             if cfg.chinese_wall is not None and allowed:
-                added = interest_writeback(
-                    g, s, o, action, cfg.chinese_wall, object_nfas=self._cw_object_nfas
-                )
+                added = interest_writeback(g, s, o, action, cfg.chinese_wall)
                 invalidate = any(label in self._pmp_labels for label in added)
             # interest_writeback audits the allow itself whenever it adds
             # anything; when it adds nothing the audit edge is either
@@ -331,7 +326,25 @@ class Evaluator:
     # -- preemptive caching
 
     def warm(self, pairs: Iterable[tuple[str, str]]) -> int:
-        return warm_cache(self.graph, self.pmp, pairs, stats=self.stats)
+        """Precompute and store caching edges for pairs lacking a fresh one,
+        whether or not the configuration caches. Pure principal matching:
+        no audit writeback, no decision. Returns the number of edges
+        written."""
+        g = self.graph
+        stats = self.stats
+        g.claim_caches(self.pmp.fingerprint)
+        written = 0
+        for subject, obj in pairs:
+            if g.lookup_cache(subject, obj) is not None:
+                continue
+            epoch = g.epoch
+            matched = match_principals(g, self.pmp, subject, obj, stats=stats)
+            with g.write_lock():
+                g.record_typed_edge(subject, obj, Caching(matched, epoch))
+            stats.principal_computations += 1
+            stats.cache_writes += 1
+            written += 1
+        return written
 
 
 def _pmp_alphabet(pmp: Pmp) -> frozenset[str]:
@@ -422,8 +435,6 @@ def interest_writeback(
     obj: str,
     action: str,
     cw: ChineseWallConfig,
-    *,
-    object_nfas: Sequence[Nfa] | None = None,
 ) -> list[str]:
     """After an allow on a conflict-governed object, record the subject's
     active interest in the object's companies, block every rival company
@@ -432,10 +443,8 @@ def interest_writeback(
     Each kind is written with one bulk call under the graph's write lock;
     all writes are idempotent. Returns the label of each kind of edge
     actually added, once, for cache invalidation."""
-    if object_nfas is None:
-        object_nfas = [compile_condition(p) for p in cw.object_paths]
     companies: set[str] = set()
-    for nfa in object_nfas:
+    for nfa in cw.object_nfas:
         companies |= reachable_accepting(nfa, g, obj)
     if not companies:
         return []
@@ -456,29 +465,3 @@ def interest_writeback(
             added.append(audit.label)
     return added
 
-
-# --- preemptive caching ------------------------------------------------------------
-
-def warm_cache(
-    g: SystemGraph,
-    pmp: Pmp,
-    pairs: Iterable[tuple[str, str]],
-    *,
-    stats: EvalStats | None = None,
-) -> int:
-    """Precompute and store caching edges for pairs lacking a fresh one.
-    Pure principal matching: no audit writeback, no decision. Returns the
-    number of edges written."""
-    written = 0
-    for subject, obj in pairs:
-        if g.lookup_cache(subject, obj) is not None:
-            continue
-        epoch = g.epoch
-        matched = match_principals(g, pmp, subject, obj, stats=stats)
-        with g.write_lock():
-            g.record_typed_edge(subject, obj, Caching(matched, epoch))
-        if stats is not None:
-            stats.principal_computations += 1
-            stats.cache_writes += 1
-        written += 1
-    return written

@@ -10,7 +10,12 @@ Model file:        ``type <name>`` | ``rel <name>`` | ``symrel <name>`` |
 Graph file:        ``entity <id> <type>`` | ``edge <from> <to> <label>``
                    where a ``@``-label records a history edge; plus optional
                    ``epoch <n>`` and ``cache <s> <o> <epoch> <p1,p2|->``
-                   lines so preemptively warmed caches survive a reload.
+                   lines so preemptively warmed caches survive a reload, and
+                   ``cache-policy <sha256>``, the fingerprint of the
+                   principal-matching policy that computed the cache lines
+                   (:attr:`Pmp.fingerprint`). Cache lines without it, or
+                   with another policy's, are dropped by the first caching
+                   evaluator.
 Policy file:       ``pmp <set|list|dag>`` | ``rule <principal> : <target> !
                    <target>`` | ``edge <i> <j>`` (dag rule indexes, 0-based,
                    in file order) | ``auth <principal> <object|type|*>
@@ -56,6 +61,7 @@ from .policy import (
 
 __all__ = [
     "ParsedPolicy",
+    "read_text",
     "parse_model",
     "load_model",
     "parse_graph",
@@ -80,6 +86,15 @@ def _lines(text: str) -> Iterator[tuple[int, list[str], str]]:
         tokens = raw.split()
         if tokens:
             yield lineno, tokens, raw.strip()
+
+
+def read_text(path: str | Path) -> str:
+    """The file's text. A file that is not UTF-8 raises a
+    :class:`RelacError` that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RelacError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 class _Collector:
@@ -139,8 +154,7 @@ def parse_model(text: str, source: str = "<model>") -> SystemModel:
 
 
 def load_model(path: str | Path) -> SystemModel:
-    path = Path(path)
-    return parse_model(path.read_text(encoding="utf-8"), str(path))
+    return parse_model(read_text(path), str(path))
 
 
 # --- graph ------------------------------------------------------------------
@@ -153,8 +167,8 @@ def parse_graph(
 ) -> SystemGraph:
     """One pass over the text: entity and edge lines go to the graph in file
     order, then the last ``epoch`` line is restored and the cache lines are
-    entered, so they may name entities declared after them. Errors are
-    reported in that order too."""
+    entered, so they may name entities declared after them, under the last
+    ``cache-policy`` line. Errors are reported in that order too."""
     col = _Collector(source)
     g = SystemGraph(model, cache_capacity=cache_capacity)
     errors: list[tuple[int, str]] = []
@@ -185,6 +199,8 @@ def parse_graph(
                     final_epoch = int(tokens[1])
                 except ValueError as exc:
                     errors.append((lineno, str(exc)))
+            elif kw == "cache-policy" and n == 2:
+                g.cache_policy = tokens[1]
             else:
                 errors.append((lineno, f"unrecognized graph directive: {' '.join(tokens)}"))
 
@@ -208,16 +224,14 @@ def parse_graph(
 def load_graph(
     path: str | Path, model: SystemModel, cache_capacity: int | None = None
 ) -> SystemGraph:
-    path = Path(path)
-    return parse_graph(
-        path.read_text(encoding="utf-8"), model, str(path), cache_capacity
-    )
+    return parse_graph(read_text(path), model, str(path), cache_capacity)
 
 
 def serialize_graph(g: SystemGraph) -> str:
     """Deterministic round-trippable dump, history edges included: entities
     by id, relationship edges by (from, to, label), then history edge lines,
-    the epoch and cache lines, each sorted as text. One pass over the
+    the epoch, and the cache lines, sorted as text, after the
+    ``cache-policy`` line when the graph knows its policy. One pass over the
     adjacency index collects every edge."""
     symmetric = g.model.symmetric
     relationships: list[tuple[str, str, str]] = []
@@ -236,10 +250,13 @@ def serialize_graph(g: SystemGraph) -> str:
     lines += [f"edge {frm} {to} {label}" for frm, to, label in sorted(relationships)]
     lines += sorted(history)
     lines.append(f"epoch {g.epoch}")
-    lines += sorted(
+    caches = sorted(
         f"cache {s} {o} {epoch} {','.join(sorted(principals)) or '-'}"
         for (s, o), (principals, epoch) in g.cache_entries()
     )
+    if caches and g.cache_policy is not None:
+        lines.append(f"cache-policy {g.cache_policy}")
+    lines += caches
     return "\n".join(lines) + "\n"
 
 
@@ -477,8 +494,7 @@ def parse_policy(
 
 
 def load_policy(path: str | Path, model: SystemModel) -> ParsedPolicy:
-    path = Path(path)
-    return parse_policy(path.read_text(encoding="utf-8"), model, str(path))
+    return parse_policy(read_text(path), model, str(path))
 
 
 # --- request / pair batches ---------------------------------------------------

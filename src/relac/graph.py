@@ -210,6 +210,9 @@ class SystemGraph:
         # relation -> (reverse label, whether both labels share one set)
         self._relations = {r: ("~" + r, r in model.symmetric) for r in model.relations}
         self._cache: OrderedDict[tuple[str, str], tuple[frozenset[str], int]] = OrderedDict()
+        # Fingerprint of the principal-matching policy the caching edges
+        # were computed under; None when unknown.
+        self.cache_policy: str | None = None
         self._frozen_relations: set[str] = set()
         self._interest_edges = 0
         self._epoch = 0
@@ -456,8 +459,8 @@ class SystemGraph:
 
     def invalidate_caches(self) -> None:
         """Advance the epoch so every caching edge becomes stale. Called by
-        the engine on policy swaps and on history writes that can change
-        matched-principal sets."""
+        the engine on history writes that can change matched-principal
+        sets."""
         with self._lock:
             self._epoch += 1
 
@@ -505,8 +508,17 @@ class SystemGraph:
             return None
         return entry[0]
 
-    def cache_size(self) -> int:
-        return len(self._cache)
+    def claim_caches(self, policy: str) -> None:
+        """Bind the caching edges to ``policy``, the fingerprint of the
+        principal-matching policy about to read and write them. Entries
+        computed under another or an unknown policy are dropped; the epoch
+        does not move."""
+        if self.cache_policy == policy:
+            return
+        with self._lock:
+            if self.cache_policy != policy:
+                self._cache.clear()
+                self.cache_policy = policy
 
     def cache_entries(self) -> ItemsView[tuple[str, str], tuple[frozenset[str], int]]:
         """Caching edges as ``(subject, object) -> (principals, epoch)``,
@@ -514,19 +526,7 @@ class SystemGraph:
         :meth:`neighbors`."""
         return self._cache.items()
 
-    # -- enumeration / validation
-
-    def relationship_edges(self) -> Iterator[tuple[str, str, str]]:
-        """Stored relationship edges; a symmetric edge comes once, as
-        ``(v, w)`` with ``v <= w``."""
-        symmetric = self.model.symmetric
-        for v, by_label in self._adj.items():
-            for label, targets in by_label.items():
-                if label.startswith(("~", "@")):
-                    continue
-                for w in targets:
-                    if label not in symmetric or v <= w:
-                        yield v, w, label
+    # -- enumeration
 
     def typed_edges(self) -> Iterator[tuple[str, str, EdgeKind]]:
         """History edges: audit, interest, then caching."""
@@ -539,22 +539,6 @@ class SystemGraph:
                     yield v, w, kind
         for (s, o), (principals, epoch) in self.cache_entries():
             yield s, o, Caching(principals, epoch)
-
-    def validate(self) -> list[str]:
-        """Full re-validation pass; returns problem descriptions (empty for a
-        well-formed graph)."""
-        problems = []
-        for v, t in self._types.items():
-            if t not in self.model.types:
-                problems.append(f"entity {v!r} has undeclared type {t!r}")
-        for v, w, label in self.relationship_edges():
-            if label not in self.model.relations:
-                problems.append(f"edge ({v},{w},{label}) uses undeclared relation")
-            elif not self.model.permits(self._types[v], self._types[w], label):
-                problems.append(
-                    f"edge ({v},{w},{label}) violates the permissible-relationship graph"
-                )
-        return problems
 
     # -- persistence hook (used by the file loader to restore cache freshness)
 

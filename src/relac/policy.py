@@ -17,13 +17,15 @@ cascade covering the no-principal / no-authorization gaps.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .automata import Nfa, SearchStats, compile_condition, match_detail, matches
 from .errors import MalformedDagError, PolicyError
 from .graph import SystemGraph
-from .pathcond import AllTarget, NoneTarget, PathTarget, Target, to_text
+from .pathcond import AllTarget, Empty, NoneTarget, PathTarget, Target, to_text
 
 __all__ = [
     "Decision",
@@ -148,7 +150,9 @@ class Pmp:
 
     @staticmethod
     def _compile(target: Target) -> Nfa | None:
-        if isinstance(target, PathTarget):
+        """The target's automaton; ``all``, ``none`` and the empty condition
+        ``<>`` have none, :func:`match_detail` decides them directly."""
+        if isinstance(target, PathTarget) and not isinstance(target.condition, Empty):
             return compile_condition(target.condition)
         return None
 
@@ -181,9 +185,19 @@ class Pmp:
             raise MalformedDagError("dag policy contains a cycle")
         return preds, order
 
-    @property
-    def principals(self) -> frozenset[str]:
-        return frozenset(r.principal for r in self.rules) - {NULL_PRINCIPAL}
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 hex digest of the shape, each rule's principal and
+        targets as text, and the dag edges. It is the same in every process,
+        so a graph file's caching edges can name the policy that computed
+        them."""
+        text = "\n".join([
+            self.shape.value,
+            *(f"{r.principal} : {_describe(r.mandated)} ! {_describe(r.precluded)}"
+              for r in self.rules),
+            *(f"{a} {b}" for a, b in self.dag_edges),
+        ])
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def applicable(
         self,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from relac.automata import Nfa, SearchStats, compile_condition, reachable_accepting
 from relac.engine import ChineseWallConfig, EvalResult, Evaluator, HistoryConfig, Request
@@ -436,13 +436,26 @@ def reference_interest_writeback(
         g.record_typed_edge(subject, obj, DecisionAudit(action, allowed=True))
 
 
+def relationship_edges(g: SystemGraph) -> Iterator[tuple[str, str, str]]:
+    """Stored relationship edges; a symmetric edge comes once, as
+    ``(v, w)`` with ``v <= w``."""
+    symmetric = g.model.symmetric
+    for v, by_label in g.adjacency.items():
+        for label, targets in by_label.items():
+            if label.startswith(("~", "@")):
+                continue
+            for w in targets:
+                if label not in symmetric or v <= w:
+                    yield v, w, label
+
+
 def reference_serialize_graph(g: SystemGraph) -> str:
     """The graph dump built from the enumeration API, one kind object per
     history edge."""
     lines = []
     for node in sorted(g.nodes()):
         lines.append(f"entity {node} {g.node_type(node)}")
-    for frm, to, label in sorted(g.relationship_edges()):
+    for frm, to, label in sorted(relationship_edges(g)):
         lines.append(f"edge {frm} {to} {label}")
     system, caches = [], []
     for frm, to, kind in g.typed_edges():
@@ -453,6 +466,8 @@ def reference_serialize_graph(g: SystemGraph) -> str:
             system.append(f"edge {frm} {to} {kind.label}")
     lines.extend(sorted(system))
     lines.append(f"epoch {g.epoch}")
+    if caches and g.cache_policy is not None:
+        lines.append(f"cache-policy {g.cache_policy}")
     lines.extend(sorted(caches))
     return "\n".join(lines) + "\n"
 
@@ -466,7 +481,7 @@ def reference_parse_graph(
     """The per-line graph loader: every line tokenized into a list first,
     then one ``add_entity``, ``add_relationship`` or ``record_typed_edge``
     call per entity and edge line, the last ``epoch`` line restored, and the
-    cache lines entered last."""
+    cache lines entered last, under the last ``cache-policy`` line."""
     col = _Collector(source)
     g = SystemGraph(model, cache_capacity=cache_capacity)
     lines = []
@@ -491,6 +506,8 @@ def reference_parse_graph(
                 cache_lines.append((lineno, tokens))
             elif kw == "epoch" and len(tokens) == 2:
                 final_epoch = int(tokens[1])
+            elif kw == "cache-policy" and len(tokens) == 2:
+                g.cache_policy = tokens[1]
             else:
                 col.error(lineno, f"unrecognized graph directive: {' '.join(tokens)}")
         except (RelacError, ValueError) as exc:

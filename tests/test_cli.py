@@ -144,7 +144,23 @@ def test_graph_file_that_is_not_utf8_is_an_error(course_files, tmp_path, command
     done = run_relac(command, *common(course_files), *extra)
     assert_one_error_line(done)
     assert "utf-8" in done.stderr
+    assert str(graph) in done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("bad", ["model", "graph", "policy", "requests", "pairs"])
+def test_input_that_is_not_utf8_is_named(course_files, tmp_path, capsys, bad):
+    inputs = {**course_files,
+              "requests": str(tmp_path / "requests.txt"), "pairs": str(tmp_path / "pairs.txt")}
+    Path(inputs["requests"]).write_text("u1 a1 read\n")
+    Path(inputs["pairs"]).write_text("u1 a1\n")
+    path = Path(inputs[bad])
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    command = ["warm", inputs["pairs"]] if bad == "pairs" else ["batch", inputs["requests"]]
+    assert main([command[0], *common(inputs), command[1]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_batch_requests_path_that_is_a_directory_is_an_error(course_files, tmp_path):
@@ -299,6 +315,22 @@ def test_warm_commit_feeds_later_batch(course_files, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cache-hits=1" in out
     assert "principal-computations=0" in out
+
+
+def test_warmed_cache_does_not_outlive_a_policy_edit(readme_files, tmp_path, capsys):
+    """Warming twice under one policy writes the caching edge once; after
+    the principal-matching rule changes, the committed caching edge is not
+    used: the request is decided as without the cache."""
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("u1 d1\n")
+    for written in ("1", "0"):
+        assert main(["warm", *common(readme_files, "--commit"), str(pairs)]) == 0
+        assert capsys.readouterr().out == f"{written}\n"
+    policy = Path(readme_files["policy"])
+    policy.write_text(policy.read_text().replace("rule owner : wrote", "rule owner : ~wrote"))
+    for extra in ((), ("--no-cache",)):
+        assert main(["eval", *common(readme_files, *extra), "u1", "d1", "read"]) == 1
+        assert capsys.readouterr().out == "deny\t-\tdefault-no-principals\n"
 
 
 def test_warm_reports_bad_pairs(course_files, tmp_path, capsys):

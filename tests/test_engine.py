@@ -16,7 +16,6 @@ from relac.engine import (
     build_chinese_wall_rules,
     build_sod_policy,
     interest_writeback,
-    warm_cache,
 )
 from relac.errors import (
     FrozenRelationError,
@@ -203,26 +202,50 @@ def _fresh_course():
     return g, parsed.pmp, parsed.policy, parsed.defaults
 
 
-def test_replace_policy_invalidates_on_pmp_change(course):
-    _, g, parsed = course
-    ev = Evaluator(g, parsed.pmp, parsed.policy, parsed.defaults, history(caching_enabled=True))
-    ev.evaluate(Request("u1", "a3", "read"))
-    new_pmp = Pmp(parsed.pmp.shape, parsed.pmp.rules)
-    ev.replace_policy(new_pmp, parsed.policy)
-    result = ev.evaluate(Request("u1", "a3", "grade"))
-    assert not result.cache_assisted
-
-
 def test_replace_auth_policy_only_keeps_caches(course):
     # caching edges store matched principals, which do not depend on the
-    # authorization side, so swapping it must not cost a recomputation
+    # authorization side, so a new evaluator with an equal principal-matching
+    # policy and another authorization policy must not recompute them
     _, g, parsed = course
     ev = Evaluator(g, parsed.pmp, parsed.policy, parsed.defaults, history(caching_enabled=True))
     ev.evaluate(Request("u1", "a3", "read"))
+    same_pmp = Pmp(parsed.pmp.shape, parsed.pmp.rules)
     narrowed = ExtendedAuthPolicy(parsed.policy.rules[:3], parsed.policy.crs)
-    ev.replace_policy(parsed.pmp, narrowed)
+    ev = Evaluator(g, same_pmp, narrowed, parsed.defaults, history(caching_enabled=True))
     result = ev.evaluate(Request("u1", "a3", "read"))
     assert result.cache_assisted
+
+
+@pytest.mark.parametrize("shape", [PmpShape.SET, PmpShape.LIST, PmpShape.DAG])
+def test_caching_evaluators_with_different_policies_share_a_graph(shape):
+    """Two caching evaluators with different principal-matching policies
+    take turns on one graph; every result equals an uncached evaluator's.
+    Each claims the caching edges before it uses them, so it never reads an
+    entry the other policy computed."""
+    rng = random.Random(f"two-policies-{shape.value}")
+    hits = foreign = 0
+    for _ in range(40):
+        g, pmp_a, policy_a, defaults_a, nodes = _random_policy_instance(rng, shape)
+        _, pmp_b, policy_b, defaults_b, _ = _random_policy_instance(rng, shape)
+        turns = [
+            (Evaluator(g, pmp, policy, defaults, history(caching_enabled=True)),
+             Evaluator(g, pmp, policy, defaults))
+            for pmp, policy, defaults in (
+                (pmp_a, policy_a, defaults_a), (pmp_b, policy_b, defaults_b))
+        ]
+        for turn in range(12):
+            cached, uncached = turns[turn % 2]
+            for _ in range(rng.randint(1, 4)):
+                req = Request(rng.choice(nodes[:3]), rng.choice(nodes[:3]),
+                              rng.choice(["act", "other"]))
+                want = uncached.evaluate(req)
+                entry = g.lookup_cache(req.subject, req.obj)
+                foreign += entry is not None and entry != want.matched
+                got = cached.evaluate(req)
+                assert (got.decision, got.matched, got.decision_source) == (
+                    want.decision, want.matched, want.decision_source), (req, turn)
+                hits += got.cache_assisted
+    assert hits > 0 and foreign > 0
 
 
 # --- audit writeback ----------------------------------------------------------------
@@ -455,16 +478,17 @@ def test_warm_cache_then_evaluate(course):
 
 def test_warm_cache_is_idempotent_and_pure(course):
     _, g, parsed = course
-    assert warm_cache(g, parsed.pmp, [("u1", "a3"), ("u1", "a3")]) == 1
-    assert warm_cache(g, parsed.pmp, [("u1", "a3")]) == 0
+    ev = Evaluator(g, parsed.pmp, parsed.policy, parsed.defaults)
+    assert ev.warm([("u1", "a3"), ("u1", "a3")]) == 1
+    assert ev.warm([("u1", "a3")]) == 0
     assert not any(isinstance(k, DecisionAudit) for _, _, k in g.typed_edges())
 
 
 def test_warm_cache_stale_after_mutation(course):
     _, g, parsed = course
-    warm_cache(g, parsed.pmp, [("u1", "a3")])
-    g.add_entity("u9", "user")
     ev = Evaluator(g, parsed.pmp, parsed.policy, parsed.defaults, history(caching_enabled=True))
+    ev.warm([("u1", "a3")])
+    g.add_entity("u9", "user")
     result = ev.evaluate(Request("u1", "a3", "read"))
     assert not result.cache_assisted
 

@@ -71,6 +71,7 @@ BAD_GRAPH_LINES = [
     "epoch soon",  # bad epoch
     "epoch 0",  # backwards epoch, when it is the last epoch line
     "edge u0 d0",  # unrecognized directive
+    "cache-policy",  # fingerprint missing
 ]
 
 
@@ -96,14 +97,16 @@ def random_graph_text(rng: random.Random, bad_lines: int) -> str:
         elif roll < 0.9:
             principals = ",".join(rng.sample(["p", "q", "r"], rng.randint(1, 3))) if rng.random() < 0.7 else "-"
             rest.append(f"cache {rng.choice(nodes)} {rng.choice(nodes)} {rng.randint(0, 40)} {principals}")
-        elif roll < 0.95:
+        elif roll < 0.93:
             rest.append(f"epoch {rng.randint(30, 60)}")
+        elif roll < 0.95:
+            rest.append(f"cache-policy {rng.choice('ab') * 64}")
         else:
             rest.append(rng.choice(["", "   ", "# comment", f"edge {rng.choice(users)} {rng.choice(docs)} owns # owner"]))
     if rest and rng.random() < 0.5:
         rest.append(rng.choice(rest))  # a repeated line
     lines = entities + rest
-    # Cache and epoch lines may come before the entities they name.
+    # Cache, cache-policy and epoch lines may come before the entities.
     for i, line in enumerate(lines):
         if line.startswith(("cache", "epoch")) and rng.random() < 0.3:
             lines.insert(rng.randint(0, i), lines.pop(i))
@@ -137,7 +140,8 @@ def test_parse_graph_matches_the_per_line_loader():
         assert serialize_graph(g) == serialize_graph(ref), text
         assert g.epoch == ref.epoch
         assert g._interest_edges == ref._interest_edges
-        assert g.cache_size() == ref.cache_size()
+        assert len(g.cache_entries()) == len(ref.cache_entries())
+        assert g.cache_policy == ref.cache_policy
         assert list(g.cache_entries()) == list(ref.cache_entries())
         assert g.adjacency == ref.adjacency
         for by_label in g.adjacency.values():
@@ -157,12 +161,17 @@ def test_graph_loads_system_edges():
 
 
 def test_graph_serialization_round_trip(course):
-    model, g, _ = course
+    model, g, parsed = course
     g.record_typed_edge("u1", "a3", DecisionAudit("read", allowed=True))
     g.record_typed_edge("u1", "a3", Caching(frozenset({"course-ta"})))
+    g.cache_policy = parsed.pmp.fingerprint
     text = serialize_graph(g)
+    # the fingerprint line comes right before the cache lines
+    assert text.endswith(
+        f"cache-policy {parsed.pmp.fingerprint}\ncache u1 a3 {g.epoch} course-ta\n")
     g2 = parse_graph(text, model)
-    assert sorted(g.relationship_edges()) == sorted(g2.relationship_edges())
+    assert g2.cache_policy == parsed.pmp.fingerprint
+    assert sorted(helpers.relationship_edges(g)) == sorted(helpers.relationship_edges(g2))
     assert sorted(g.nodes()) == sorted(g2.nodes())
     assert {(s, o, k) for s, o, k in g.typed_edges()} == {
         (s, o, k) for s, o, k in g2.typed_edges()
@@ -195,6 +204,7 @@ def test_serialize_graph_matches_reference_on_random_graphs():
         g._adj[rng.choice(nodes)].setdefault("@allow:write", set())
         g._adj[rng.choice(nodes)].setdefault("@interest:active", set())
         g._adj[rng.choice(nodes)].setdefault("r0", set())
+        g.cache_policy = rng.choice([None, "f" * 64])
         assert serialize_graph(g) == helpers.reference_serialize_graph(g)
 
 
@@ -208,12 +218,13 @@ def test_save_load_save_is_byte_identical(tmp_path):
         g.record_typed_edge(nodes[0], nodes[1], DecisionAudit("read", allowed=True))
         g.record_typed_edge(nodes[1], nodes[0], InterestAudit(blocked=True))
         g.record_typed_edge(nodes[0], nodes[-1], Caching(frozenset({"p", "q"})))
+        g.cache_policy = "0123abcd" * 8
         first, second = tmp_path / f"a{round_}.txt", tmp_path / f"b{round_}.txt"
         save_graph(g, first)
         g2 = load_graph(first, g.model)
         save_graph(g2, second)
         assert first.read_bytes() == second.read_bytes()
-        assert sorted(g.relationship_edges()) == sorted(g2.relationship_edges())
+        assert sorted(helpers.relationship_edges(g)) == sorted(helpers.relationship_edges(g2))
 
 
 def test_save_graph_failure_keeps_old_file(course, tmp_path, monkeypatch):
@@ -231,6 +242,15 @@ def test_save_graph_failure_keeps_old_file(course, tmp_path, monkeypatch):
         save_graph(g, target)
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["graph.txt"]
+
+
+def test_cache_policy_line_only_with_cache_lines(course):
+    model, g, parsed = course
+    g.cache_policy = parsed.pmp.fingerprint
+    assert "cache-policy" not in serialize_graph(g)
+    g2 = parse_graph(f"entity u1 user\ncache-policy {'e' * 64}\n", model)
+    assert g2.cache_policy == "e" * 64
+    assert serialize_graph(g2) == f"entity u1 user\nepoch {g2.epoch}\n"
 
 
 def test_policy_defaults_to_deny_overrides(course):

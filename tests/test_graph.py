@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from helpers import random_graph, reference_permits
+from helpers import random_graph, reference_permits, relationship_edges
 from relac.errors import (
     DuplicateEntityError,
     FrozenRelationError,
@@ -162,7 +162,7 @@ def test_duplicate_edges_are_idempotent_without_epoch_bump():
     g.add_entity("u0", "user")
     assert g.add_relationship("u1", "u0", "knows") is True
     assert g.add_relationship("u0", "u1", "knows") is False
-    assert sorted(g.relationship_edges()) == [("u0", "u1", "knows"), ("u1", "u2", "knows")]
+    assert sorted(relationship_edges(g)) == [("u0", "u1", "knows"), ("u1", "u2", "knows")]
 
 
 def test_epoch_counts_effective_mutations():
@@ -206,7 +206,7 @@ def test_reverse_view_invariant_random():
     rng = random.Random(7)
     for _ in range(25):
         g = random_graph(rng)
-        for v, w, label in g.relationship_edges():
+        for v, w, label in relationship_edges(g):
             assert w in g.neighbors(v, label)
             assert v in g.neighbors(w, reverse_label(label))
             if label in g.model.symmetric:
@@ -319,7 +319,7 @@ def test_cache_replacement_and_empty_set_entry():
     assert g.lookup_cache("u1", "d1") == frozenset()
     g.record_typed_edge("u1", "d1", Caching(frozenset({"p"})))
     assert g.lookup_cache("u1", "d1") == frozenset({"p"})
-    assert g.cache_size() == 1
+    assert len(g.cache_entries()) == 1
 
 
 def test_cache_capacity_fifo():
@@ -329,9 +329,24 @@ def test_cache_capacity_fifo():
         g.add_entity(name, "doc")
     for name in ("d1", "d2", "d3"):
         g.record_typed_edge("u1", name, Caching(frozenset({name})))
-    assert g.cache_size() == 2
+    assert len(g.cache_entries()) == 2
     assert g.lookup_cache("u1", "d1") is None
     assert g.lookup_cache("u1", "d3") == frozenset({"d3"})
+
+
+def test_claim_caches_drops_another_policys_entries_without_epoch_bump():
+    g = SystemGraph(simple_model())
+    g.add_entity("u1", "user")
+    g.add_entity("d1", "doc")
+    g.record_typed_edge("u1", "d1", Caching(frozenset({"p"})))
+    epoch = g.epoch
+    g.claim_caches("a")  # entries of an unknown policy go
+    assert len(g.cache_entries()) == 0
+    g.record_typed_edge("u1", "d1", Caching(frozenset({"p"})))
+    g.claim_caches("a")
+    assert g.lookup_cache("u1", "d1") == frozenset({"p"})
+    g.claim_caches("b")
+    assert (len(g.cache_entries()), g.cache_policy, g.epoch) == (0, "b", epoch)
 
 
 def test_invalidate_caches_hook():
@@ -420,15 +435,3 @@ def test_add_many_equals_single_item_calls():
         assert g._interest_edges == ref._interest_edges
         assert list(g.cache_entries()) == list(ref.cache_entries())
 
-
-# --- validation ------------------------------------------------------------------
-
-def test_validate_clean_on_fixture(course):
-    _, g, _ = course
-    assert g.validate() == []
-
-
-def test_validate_clean_on_random_api_built_graphs():
-    rng = random.Random(21)
-    for _ in range(20):
-        assert random_graph(rng).validate() == []

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import apply_defaults, compute_authorizations
 from relac.errors import MalformedDagError, PolicyError
+from relac.fileformat import parse_policy
 from relac.graph import SystemGraph, SystemModel
 from relac.pathcond import ALL, NONE, PathTarget, parse
 from relac.policy import (
@@ -90,6 +91,45 @@ def test_duplicate_principals_collapse():
         ],
     )
     assert match_principals(g, pmp, "s", "o") == frozenset({"p"})
+
+
+def test_empty_condition_target_is_an_identity_test(course):
+    """``<>`` loads as a mandated and as a precluded target and holds
+    exactly when subject and object are one node."""
+    model, g, _ = course
+    pmp = parse_policy(
+        "rule self : <> ! none\nrule other : all ! <>\n"
+        "auth self * read allow\ndefault system deny\n",
+        model,
+    ).pmp
+    trace: list[str] = []
+    assert match_principals(g, pmp, "u1", "u1", trace=trace) == frozenset({"self"})
+    assert trace == [
+        "rule self: <> ! none -> applicable",
+        "rule other: all ! <> -> precluded",
+    ]
+    trace = []
+    assert match_principals(g, pmp, "u1", "c2", trace=trace) == frozenset({"other"})
+    assert trace == [
+        "rule self: <> ! none -> not matched",
+        "rule other: all ! <> -> applicable",
+    ]
+
+
+def test_fingerprint_names_shape_rules_and_dag_edges():
+    rules = [PmRule(ALL, NONE, "a"), PmRule(PathTarget(parse("r")), NONE, "b"),
+             PmRule(PathTarget(parse("q")), NONE, "c")]
+    base = Pmp(PmpShape.DAG, rules, [(0, 1), (0, 2)])
+    assert Pmp(PmpShape.DAG, list(rules), [(0, 1), (0, 2)]).fingerprint == base.fingerprint
+    assert len(base.fingerprint) == 64
+    variants = [
+        Pmp(PmpShape.DAG, rules, [(0, 1), (1, 2)]),
+        Pmp(PmpShape.SET, rules),
+        Pmp(PmpShape.DAG, rules[:2] + [PmRule(PathTarget(parse("q")), ALL, "c")], [(0, 1), (0, 2)]),
+        Pmp(PmpShape.DAG, rules[:2] + [PmRule(PathTarget(parse("q")), NONE, "d")], [(0, 1), (0, 2)]),
+    ]
+    fingerprints = {base.fingerprint, *(v.fingerprint for v in variants)}
+    assert len(fingerprints) == 1 + len(variants)
 
 
 # --- list shape ------------------------------------------------------------------
